@@ -11,7 +11,7 @@ and OPENQASM 2.0 export (`qasm`).  `cli` exposes everything as subcommands.
 
 __version__ = "1.0.0"
 
-from .circuit import Circuit, Gate, apply_circuit, compose_adjoint, unitary_of
+from .circuit import Circuit, Gate, apply_circuit, unitary_of
 from .costs import (CostReport, cascade_count, comparison_csv, cost_report,
                     emit_comparison, prepare_cnot_count, select_cnot_counts,
                     synth_cascade, total_lcu_count)
@@ -36,7 +36,7 @@ __all__ = [
     "PauliString", "PauliSum", "multiply", "commutes", "to_dense",
     "UccFactor", "jw_ladder", "excitation_pauli_sum", "projector_pauli_sum",
     "ucc_factor_expand", "exact_unitary", "chain_qubits",
-    "Circuit", "Gate", "apply_circuit", "unitary_of", "compose_adjoint",
+    "Circuit", "Gate", "apply_circuit", "unitary_of",
     "LcuCoefficients", "PrepareAngles", "lcu_coefficients", "prepare_angles",
     "synth_prepare", "verify_prepare",
     "SelectPlan", "derive_select_plan", "synth_select", "verify_select",

@@ -168,23 +168,6 @@ class Circuit:
                        [g.inverse() for g in reversed(self.gates)],
                        self.num_ancilla)
 
-    def with_wire_inserted(self, position: int) -> "Circuit":
-        """New circuit one wire wider; wires >= position shift up by one."""
-        def shift(q: int) -> int:
-            return q + 1 if q >= position else q
-
-        gates = [Gate(g.kind, tuple(shift(t) for t in g.targets), g.angle,
-                      tuple((shift(q), p) for q, p in g.controls))
-                 for g in self.gates]
-        ancilla = self.num_ancilla + (1 if position <= self.num_ancilla else 0)
-        return Circuit(self.num_qubits + 1, gates, ancilla)
-
-    def with_extra_control(self, qubit: int, polarity: str) -> "Circuit":
-        """Every gate additionally controlled on (qubit, polarity)."""
-        gates = [Gate(g.kind, g.targets, g.angle,
-                      g.controls + ((qubit, polarity),)) for g in self.gates]
-        return Circuit(self.num_qubits, gates, self.num_ancilla)
-
     # ------------------------------------------------------------------- JSON
     def to_json_dict(self) -> dict:
         return {"num_qubits": self.num_qubits,
@@ -203,6 +186,21 @@ class Circuit:
     @classmethod
     def from_json(cls, text: str) -> "Circuit":
         return cls.from_json_dict(json.loads(text))
+
+
+def apply_matrix(work: np.ndarray, sel: list, target: int, m: np.ndarray):
+    """In place: the 2x2 matrix m on qubit axis `target` of work.
+
+    work has one length-2 axis per qubit (plus any trailing batch axes); sel
+    holds one index per qubit axis, slice(None) for free qubits and the firing
+    value 0 or 1 for controls, so only the controlled subspace is updated.
+    """
+    sel_a, sel_b = list(sel), list(sel)
+    sel_a[target], sel_b[target] = 0, 1
+    a = work[tuple(sel_a)].copy()
+    b = work[tuple(sel_b)]
+    work[tuple(sel_a)] = m[0, 0] * a + m[0, 1] * b
+    work[tuple(sel_b)] = m[1, 0] * a + m[1, 1] * b
 
 
 def apply_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
@@ -242,14 +240,8 @@ def apply_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
         if gate.kind == "GLOBALPHASE":
             work[tuple(sel)] = work[tuple(sel)] * np.exp(1j * gate.angle)
             continue
-        m = _gate_matrix(gate.kind, gate.angle)
-        t = gate.targets[0]
-        sel_a, sel_b = list(sel), list(sel)
-        sel_a[t], sel_b[t] = 0, 1
-        a = work[tuple(sel_a)].copy()
-        b = work[tuple(sel_b)]
-        work[tuple(sel_a)] = m[0, 0] * a + m[0, 1] * b
-        work[tuple(sel_b)] = m[1, 0] * a + m[1, 1] * b
+        apply_matrix(work, sel, gate.targets[0],
+                     _gate_matrix(gate.kind, gate.angle))
     return work.reshape(arr.shape)
 
 
@@ -260,7 +252,3 @@ def unitary_of(circuit: Circuit, cap: int = SIMULATION_QUBIT_CAP) -> np.ndarray:
             f"unitary of {circuit.num_qubits} qubits exceeds cap {cap}")
     dim = 1 << circuit.num_qubits
     return apply_circuit(circuit, np.eye(dim, dtype=complex))
-
-
-def compose_adjoint(circuit: Circuit) -> Circuit:
-    return circuit.compose_adjoint()

@@ -30,8 +30,7 @@ from .errors import AngleDomainError, DimensionError, PlanningError, \
     ResourceLimitError
 from .fermion import UccFactor, ucc_factor_expand
 from .lcu import assemble_w, pad_and_synth_oaa, verify_end_to_end
-from .prepare import PREPARE_MODES, ROTATION_CONVENTIONS, prepare_angles, \
-    synth_prepare
+from .prepare import prepare_angles, synth_prepare
 from .qasm import export_qasm
 from .select import derive_select_plan, synth_select
 
@@ -123,18 +122,12 @@ def _cmd_plan(args, cmdline: str) -> int:
 
 def _cmd_synth(args, cmdline: str) -> int:
     f = _factor_from(args, args.theta)
-    n = f.rank
     if args.part == "prepare":
-        circ = synth_prepare(n, f.theta, mode=args.prepare_mode,
-                             rotation_convention=args.rotation_convention)
+        circ = synth_prepare(f.rank, f.theta)
     elif args.part == "select":
         circ = synth_select(f, derive_select_plan(f))
     elif args.part == "w":
-        plan = derive_select_plan(f)
-        prep = synth_prepare(n, f.theta, mode=args.prepare_mode,
-                             rotation_convention=args.rotation_convention)
-        circ = assemble_w(prep, synth_select(f, plan), plan.identity_code,
-                          code_wires=2 * n)
+        circ = assemble_w(f)
     else:  # oaa
         circ = pad_and_synth_oaa(f).oaa_circuit
     if args.qasm:
@@ -155,7 +148,7 @@ def _cmd_verify(args, cmdline: str) -> int:
         grid.append({"theta": theta, "deviation": rep.deviation,
                      "s": rep.s_one_norm, "rounds": rep.rounds,
                      "leakage": rep.leakage, "pass": rep.passed})
-    all_pass = all(g.pop("pass") for g in grid)
+    all_pass = all([g.pop("pass") for g in grid])  # pop from every entry
     resolved = _factor_from(args, 0.0)
     report = {
         "command": "verify",
@@ -209,10 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--part", choices=("prepare", "select", "w", "oaa"),
                    required=True)
     _add_factor_args(p, with_rank=True)
-    p.add_argument("--prepare-mode", choices=PREPARE_MODES,
-                   default="verified-phases")
-    p.add_argument("--rotation-convention", choices=ROTATION_CONVENTIONS,
-                   default="half")
     p.add_argument("--qasm", action="store_true",
                    help="OPENQASM 2.0 instead of circuit JSON")
     p.add_argument("--out", default=None, help="write to file instead of stdout")

@@ -34,7 +34,8 @@ def prepare_cnot_count(n: int) -> int:
     total = 2 * n + 2 * sum((8 * k - 12) * (2 * n + 1 - k)
                             for k in range(2, 2 * n))
     closed_num = 2 * (32 * n ** 3 - 24 * n ** 2 - 41 * n + 36)
-    assert closed_num % 3 == 0 and total == closed_num // 3
+    if closed_num % 3 or total != closed_num // 3:
+        raise ArithmeticError(f"prepare count {total} misses its closed form")
     return total
 
 
@@ -50,7 +51,8 @@ def total_lcu_count(n: int, rho) -> int:
     rho = _check_rho(n, rho)
     total = 6 * prepare_cnot_count(n) + 3 * (8 * n - 2 + sum(rho))
     closed = 128 * n ** 3 - 96 * n ** 2 - 140 * n + 138 + 3 * sum(rho)
-    assert total == closed
+    if total != closed:
+        raise ArithmeticError(f"LCU count {total} misses its closed form {closed}")
     return total
 
 

@@ -8,12 +8,13 @@ Conventions (fixed throughout the package):
 * Operator ordering inside a factor: A = a†_{a_n} ... a†_{a_1} a_{i_1} ... a_{i_n}
   with both the occupied list (i_1 < ... < i_n) and the virtual list
   (a_1 < ... < a_n) ascending.  The CLI documents the same ordering.
-* The generator E = A - A† satisfies E³ = E, so exp(theta E) closes in an
+* The generator E = A - A† satisfies E³ = -E, so exp(theta E) closes in an
   SU(2)-like identity:  I + sin(theta) E + (cos(theta) - 1) (A A† + A† A).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ class UccFactor:
     virtuals : tuple[int, ...]
         Strictly increasing virtual spin-orbital indices (a_1 < ... < a_n).
     theta : float
-        Real amplitude in radians, unbounded.
+        Real amplitude in radians, unbounded but finite.
     num_qubits : int
         Total spin-orbital count N (one qubit per spin orbital).
     """
@@ -59,6 +60,8 @@ class UccFactor:
             raise ValueError("occupied and virtual orbitals must be disjoint")
         if min(occ + vir) < 0 or max(occ + vir) >= self.num_qubits:
             raise ValueError("orbital index out of range for num_qubits")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta!r}")
 
     @property
     def rank(self) -> int:

@@ -37,27 +37,45 @@ def exact_amplification_one_norm(m: int) -> float:
     return 1.0 / math.sin(math.pi / (2.0 * (2 * m + 1)))
 
 
-def assemble_w(prep: Circuit, select: Circuit, identity_code: int = 0,
-               code_wires: int | None = None) -> Circuit:
-    """Concatenate B, SELECT, B† on a shared register.
+def _pad_weight(s: float, s_target: float) -> float:
+    """Pad weight c = (s_target - s)/2, or 0 when it is float dust."""
+    c = (s_target - s) / 2.0
+    return c if c > _PAD_THRESHOLD else 0.0
 
-    identity_code aligns the two halves: PREPARE places the identity
-    coefficient on the all-zeros code while the plan maps identity_code to the
-    identity string, so SELECT is conjugated by X gates on the set bits of
-    identity_code (over the first code_wires ancilla wires).
+
+def assemble_w(f: UccFactor, plan: SelectPlan | None = None,
+               s_target: float | None = None) -> Circuit:
+    """W = (B† ⊗ 1) · SELECT · (B ⊗ 1) for one factor; the only W builder.
+
+    With s_target above the one-norm s, the bank gains the pad wire 2n: an RY
+    on it loads the branch of weight c = (s_target - s)/2, B is anticontrolled
+    on it and loads +c extra on the identity code, and a PHASE(pi) on
+    (pad = 1, main = identity code) gives the pad branch -c.  The identity
+    contributions cancel and the one-norm becomes s_target.
+
+    PREPARE places the identity coefficient on the all-zeros code while the
+    plan maps plan.identity_code to the identity string, so SELECT is
+    conjugated by X gates on the set bits of identity_code.
     """
-    if prep.num_qubits > select.num_ancilla:
-        raise DimensionError("prepare register does not fit in select's ancilla")
-    cw = prep.num_qubits if code_wires is None else code_wires
-    relabel = [w for w in range(cw) if (identity_code >> (cw - 1 - w)) & 1]
+    n = f.rank
+    na = 2 * n
+    plan = derive_select_plan(f) if plan is None else plan
+    c = 0.0 if s_target is None else \
+        _pad_weight(lcu_coefficients(n, f.theta).s_one_norm, s_target)
+    pad = 1 if c else 0
+    prep = synth_prepare(n, f.theta, identity_offset=c).gates
+    select = synth_select(f, plan, system_offset=na + pad)
+    code = [(w, "+" if (plan.identity_code >> (na - 1 - w)) & 1 else "-")
+            for w in range(na)]
+    if pad:
+        prep = [Gate("RY", (na,), 2.0 * math.asin(math.sqrt(c / s_target)))] + \
+            [Gate(g.kind, g.targets, g.angle, g.controls + ((na, "-"),))
+             for g in prep]
+        select.append(Gate("PHASE", (na,), math.pi, tuple(code)))
+    align = [Gate("X", (w,)) for w, pol in code if pol == "+"]
     circ = Circuit(select.num_qubits, num_ancilla=select.num_ancilla)
-    circ.extend(prep.gates)
-    for w in relabel:
-        circ.append(Gate("X", (w,)))
-    circ.extend(select.gates)
-    for w in relabel:
-        circ.append(Gate("X", (w,)))
-    circ.extend(prep.compose_adjoint().gates)
+    circ.extend(prep + align + select.gates + align)
+    circ.extend(g.inverse() for g in reversed(prep))
     return circ
 
 
@@ -80,8 +98,6 @@ class LcuAssembly:
     s_effective: float
     pad_qubits: int
     oaa_rounds: int
-    prep_circuit: Circuit
-    select_circuit: Circuit
     w_circuit: Circuit
     oaa_circuit: Circuit
 
@@ -103,10 +119,8 @@ def pad_and_synth_oaa(f: UccFactor, target_rounds: int | None = None) -> LcuAsse
     exact).  With target_rounds given, s_m(target) must be reachable, i.e.
     >= s.
     """
-    n = f.rank
-    na = 2 * n
     plan = derive_select_plan(f)
-    s = lcu_coefficients(n, f.theta).s_one_norm
+    s = lcu_coefficients(f.rank, f.theta).s_one_norm
     if target_rounds is None:
         m = 0
         while exact_amplification_one_norm(m) < s - 1e-12:
@@ -120,34 +134,11 @@ def pad_and_synth_oaa(f: UccFactor, target_rounds: int | None = None) -> LcuAsse
                 f"{m} rounds are exact at one-norm {exact_amplification_one_norm(m):.6f}"
                 f" < s = {s:.6f}; padding can only raise the one-norm")
     s_m = exact_amplification_one_norm(m)
-    c = max((s_m - s) / 2.0, 0.0)
-    pad = 1 if c > _PAD_THRESHOLD else 0
-    if not pad:
-        c = 0.0
-
-    core = synth_prepare(n, f.theta, identity_offset=c)
-    if pad:
-        prep = Circuit(na + 1, num_ancilla=na + 1)
-        omega = 2.0 * math.asin(math.sqrt(c / s_m))
-        prep.append(Gate("RY", (na,), omega))
-        for g in core.gates:
-            prep.append(Gate(g.kind, g.targets, g.angle,
-                             g.controls + ((na, "-"),)))
-    else:
-        prep = core
-
-    select = synth_select(f, plan, system_offset=na + pad)
-    if pad:
-        # the -c branch: phase-flip (pad=1, main = identity code)
-        controls = tuple((w, "+" if (plan.identity_code >> (na - 1 - w)) & 1 else "-")
-                         for w in range(na))
-        select.append(Gate("PHASE", (na,), math.pi, controls))
-
-    w = assemble_w(prep, select, plan.identity_code, code_wires=na)
+    w = assemble_w(f, plan, s_target=s_m)
 
     oaa = Circuit(w.num_qubits, list(w.gates), w.num_ancilla)
     if m > 0:
-        reflect = reflection_on_ancilla(na + pad, w.num_qubits)
+        reflect = reflection_on_ancilla(w.num_ancilla, w.num_qubits)
         w_dag = w.compose_adjoint()
         for _ in range(m):
             oaa.extend(reflect)
@@ -156,9 +147,12 @@ def pad_and_synth_oaa(f: UccFactor, target_rounds: int | None = None) -> LcuAsse
             oaa.extend(w.gates)
             oaa.append(Gate("GLOBALPHASE", (), math.pi))
 
-    s_eff = s + 2.0 * c
-    assert abs(s_eff - s_m) <= 1e-12 or m == 0
-    return LcuAssembly(f, plan, s, s_eff, pad, m, prep, select, w, oaa)
+    s_eff = s + 2.0 * _pad_weight(s, s_m)
+    if m and abs(s_eff - s_m) > 1e-12:
+        raise RuntimeError(f"padded one-norm {s_eff!r} misses s_m = {s_m!r}; "
+                           "synthesis bug")
+    return LcuAssembly(f, plan, s, s_eff, w.num_ancilla - 2 * f.rank, m,
+                       w, oaa)
 
 
 def apply_postselected(w: Circuit, psi: np.ndarray) -> tuple[np.ndarray, float]:
@@ -234,15 +228,10 @@ def verify_end_to_end(f: UccFactor, mode: str = "oaa",
     """
     if mode not in ("postselect", "oaa"):
         raise ValueError("mode must be 'postselect' or 'oaa'")
-    n = f.rank
     reference = exact_unitary(f)
     if mode == "postselect":
-        plan = derive_select_plan(f)
-        prep = synth_prepare(n, f.theta)
-        select = synth_select(f, plan)
-        w = assemble_w(prep, select, plan.identity_code, code_wires=2 * n)
-        s = lcu_coefficients(n, f.theta).s_one_norm
-        block, leakage = ancilla_zero_block(w)
+        s = lcu_coefficients(f.rank, f.theta).s_one_norm
+        block, leakage = ancilla_zero_block(assemble_w(f))
         deviation, phi = phase_aligned_deviation(s * block, reference)
         probability = float(np.linalg.norm(block, 2) ** 2)
         prob_ok = abs(probability - 1.0 / (s * s)) <= 1e-9

@@ -1,20 +1,17 @@
 """PREPARE synthesis: load LCU coefficient amplitudes onto the 2n-qubit
 ancilla bank.
 
-Two modes share one circuit skeleton (an RX on the sector qubit, then per
-level a controlled broadcast-Hadamard block and a multi-anticontrolled RY):
+The loader B prepares the nonnegative amplitudes sqrt(|alpha_m| / s) with one
+circuit skeleton: an RX on the sector qubit, then per level a controlled
+broadcast-Hadamard block and a multi-anticontrolled RY.  Its angles come from
+a conditional-mass recursion over the code tree.  All coefficient phases (the
+i of i*sin(theta), the sign of cos(theta)-1, per-string signs) are realized
+inside SELECT: with the same loader on both sides of B† · SELECT · B, any
+ket-side phase cancels against its bra-side conjugate.
 
-* "verified-phases" (default): loads the nonnegative amplitudes
-  sqrt(|alpha_m| / s).  All coefficient phases (the i of i*sin(theta), the
-  sign of cos(theta)-1, per-string signs) are realized inside SELECT, because
-  with the same loader on both sides of B† · SELECT · B any ket-side phase
-  cancels against its bra-side conjugate.  Angles come from a conditional-mass
-  recursion over the code tree.
-* "paper-literal": uses the closed-form analytic angles.  Those formulas
-  reproduce the signed coefficients alpha_m themselves as amplitudes — and
-  only under the full-angle rotation reading exp(-i theta P); selecting
-  rotation_convention="full" makes that reading explicit.  End-to-end
-  verification decides empirically what this mode achieves; see verify_prepare.
+The paper's closed-form angles are kept as `prepare_angles` for reference.
+Under the full-angle reading exp(-i theta P) they load |alpha_m| themselves,
+not sqrt(|alpha_m| / s), so no circuit is built from them.
 """
 
 from __future__ import annotations
@@ -22,11 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate
-from .errors import AngleDomainError
+import numpy as np
 
-PREPARE_MODES = ("verified-phases", "paper-literal")
-ROTATION_CONVENTIONS = ("half", "full")
+from .circuit import Circuit, Gate, apply_circuit
+from .errors import AngleDomainError
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,9 +49,15 @@ class LcuCoefficients:
         return 1 << (2 * self.rank - 1)
 
 
+def _check_theta(theta: float):
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+
+
 def lcu_coefficients(n: int, theta: float) -> LcuCoefficients:
     if n < 1:
         raise ValueError("rank must be >= 1")
+    _check_theta(theta)
     m = 1 << (2 * n - 1)
     identity = 1.0 + (math.cos(theta) - 1.0) / m
     projector = (math.cos(theta) - 1.0) / m
@@ -94,6 +96,7 @@ def prepare_angles(n: int, theta: float) -> PrepareAngles:
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
+    _check_theta(theta)
     cos_t = math.cos(theta)
     out = [_checked_arcsin(-math.sin(theta) / math.sqrt(1 << (2 * n - 1)),
                            "level 1")]
@@ -148,106 +151,53 @@ def _loader_angles(n: int, theta: float, identity_offset: float) -> list[float]:
     return angles
 
 
-def synth_prepare(n: int, theta: float, mode: str = "verified-phases",
-                  rotation_convention: str = "half",
-                  identity_offset: float = 0.0) -> Circuit:
-    """Synthesize the ancilla loader on 2n qubits.
+def _loader(n: int, angles) -> Circuit:
+    """The loader skeleton on 2n qubits, one angle per level.
 
-    Structure (level k = 2..2n): broadcast H on wires k-1..2n-1, positively
-    controlled on wire k-2 and anticontrolled on wires 0..k-3; then RY on wire
-    k-1 anticontrolled on wires 0..k-2.  Level 1 is a bare RX on wire 0.
-
-    Args:
-        mode: "verified-phases" or "paper-literal".
-        rotation_convention: "half" (R(t)=exp(-itP/2), the global convention)
-            or "full" (paper-literal angles doubled so they act as exp(-itP)).
-            Ignored in verified-phases mode, whose angles are derived directly
-            in the global convention.
-        identity_offset: extra identity-labeled weight folded into the loaded
-            distribution (used by the amplification padding).
+    Level 1 is a bare RX on wire 0.  Level k = 2..2n: broadcast H on wires
+    k-1..2n-1, positively controlled on wire k-2 and anticontrolled on wires
+    0..k-3; then RY on wire k-1 anticontrolled on wires 0..k-2.
     """
-    if mode not in PREPARE_MODES:
-        raise ValueError(f"mode must be one of {PREPARE_MODES}")
-    if rotation_convention not in ROTATION_CONVENTIONS:
-        raise ValueError(f"rotation_convention must be one of {ROTATION_CONVENTIONS}")
-    if mode == "paper-literal":
-        base = list(prepare_angles(n, theta).values)
-        if rotation_convention == "full":
-            base = [2.0 * a for a in base]
-    else:
-        base = _loader_angles(n, theta, identity_offset)
     width = 2 * n
     circ = Circuit(width, num_ancilla=width)
-    circ.append(Gate("RX", (0,), base[0]))
+    circ.append(Gate("RX", (0,), angles[0]))
     for k in range(2, width + 1):
         wire = k - 1
         h_controls = tuple([(wire - 1, "+")] + [(j, "-") for j in range(wire - 1)])
         for t in range(wire, width):
             circ.append(Gate("H", (t,), controls=h_controls))
         ry_controls = tuple((j, "-") for j in range(wire))
-        circ.append(Gate("RY", (wire,), base[k - 1], ry_controls))
+        circ.append(Gate("RY", (wire,), angles[k - 1], ry_controls))
     return circ
 
 
-def synth_state_loader(amplitudes) -> Circuit:
-    """Generic fallback loader: binary-tree of uniformly controlled RY gates.
+def synth_prepare(n: int, theta: float, identity_offset: float = 0.0) -> Circuit:
+    """Synthesize the ancilla loader B on 2n qubits.
 
-    Loads any nonnegative real amplitude vector (length a power of two) from
-    |0...0> exactly; used when verify_prepare detects an analytic-angle defect.
+    identity_offset: extra identity-labeled weight folded into the loaded
+    distribution (used by the amplification padding).
     """
-    amps = [float(a) for a in amplitudes]
-    dim = len(amps)
-    width = dim.bit_length() - 1
-    if dim != 1 << width or width < 1:
-        raise ValueError("amplitude vector length must be a power of two >= 2")
-    if any(a < -1e-12 for a in amps):
-        raise ValueError("fallback loader requires nonnegative amplitudes")
-    circ = Circuit(width, num_ancilla=width)
-    for wire in range(width):
-        block = 1 << (width - wire - 1)  # codes per (prefix, bit) branch
-        for prefix in range(1 << wire):
-            start = prefix << (width - wire)
-            mass0 = sum(a * a for a in amps[start:start + block])
-            mass1 = sum(a * a for a in amps[start + block:start + 2 * block])
-            if mass0 + mass1 <= 1e-300:
-                continue
-            angle = 2.0 * math.atan2(math.sqrt(mass1), math.sqrt(mass0))
-            if angle == 0.0:
-                continue
-            controls = tuple((j, "+" if (prefix >> (wire - 1 - j)) & 1 else "-")
-                             for j in range(wire))
-            circ.append(Gate("RY", (wire,), angle, controls))
-    return circ
+    return _loader(n, _loader_angles(n, theta, identity_offset))
 
 
 @dataclass(frozen=True, slots=True)
 class PrepareReport:
+    """max_deviation of the loaded |amplitudes| from sqrt(|alpha|/s).
+
+    used_fallback (always False) and fallback_deviation (always None) remain
+    for readers of the report; there is no fallback loader.
+    """
+
     max_deviation: float
-    used_fallback: bool
-    fallback_deviation: float | None
+    used_fallback: bool = False
+    fallback_deviation: float | None = None
 
 
-def verify_prepare(n: int, theta: float, tolerance: float = 1e-9,
-                   mode: str = "verified-phases",
-                   rotation_convention: str = "half") -> PrepareReport:
+def verify_prepare(n: int, theta: float) -> PrepareReport:
     """Compare |amplitudes| of the synthesized loader with the sqrt(|alpha|/s)
-    target; on failure re-synthesize with the generic fallback and report both
-    deviations."""
-    import numpy as np
-
-    from .circuit import apply_circuit
-
+    target."""
     target = np.array(prepare_target_amplitudes(n, theta))
-    circ = synth_prepare(n, theta, mode=mode,
-                         rotation_convention=rotation_convention)
     init = np.zeros(1 << (2 * n), dtype=complex)
     init[0] = 1.0
-    got = np.abs(apply_circuit(circ, init))
-    deviation = float(np.max(np.abs(got - target)))
-    if deviation <= tolerance:
-        return PrepareReport(deviation, False, None)
-    fallback = synth_state_loader(target)
-    got_fb = np.abs(apply_circuit(fallback, init))
-    fb_dev = float(np.max(np.abs(got_fb - target)))
-    assert fb_dev <= tolerance, "fallback loader failed; synthesis bug"
-    return PrepareReport(deviation, True, fb_dev)
+    got = np.abs(apply_circuit(synth_prepare(n, theta), init))
+    return PrepareReport(float(np.max(np.abs(got - target))))

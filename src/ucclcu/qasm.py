@@ -24,9 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, _gate_matrix
-
-_ID2 = np.eye(2, dtype=complex)
+from .circuit import Circuit, Gate, _gate_matrix, apply_matrix
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,8 @@ def _principal_sqrt(u: np.ndarray) -> np.ndarray:
     """Principal square root of a 2x2 unitary via its eigensystem."""
     w, v = np.linalg.eig(u)
     root = v @ np.diag(np.exp(0.5j * np.angle(w))) @ np.linalg.inv(v)
-    assert np.allclose(root @ root, u, atol=1e-12)
+    if not np.allclose(root @ root, u, atol=1e-12):
+        raise ArithmeticError("principal square root does not square back")
     return root
 
 
@@ -107,12 +106,7 @@ def lowered_unitary(num_qubits: int, ops: list[LoweredOp]) -> np.ndarray:
         sel: list = [slice(None)] * num_qubits
         if op.control is not None:
             sel[op.control] = 1
-        sel_a, sel_b = list(sel), list(sel)
-        sel_a[op.target], sel_b[op.target] = 0, 1
-        a = work[tuple(sel_a)].copy()
-        b = work[tuple(sel_b)]
-        work[tuple(sel_a)] = op.matrix[0, 0] * a + op.matrix[0, 1] * b
-        work[tuple(sel_b)] = op.matrix[1, 0] * a + op.matrix[1, 1] * b
+        apply_matrix(work, sel, op.target, op.matrix)
     return work.reshape(dim, dim)
 
 

@@ -168,7 +168,8 @@ def derive_select_plan(f: UccFactor) -> SelectPlan:
             label = PauliString(nq, *next(iter(missing))).letters if missing else "?"
             raise PlanningError("sector code map is not a bijection", label)
 
-    assert identity_code is not None  # diagonal sector always contains I
+    if identity_code is None:  # the diagonal sector always contains I
+        raise PlanningError("no code maps to the identity string")
     return SelectPlan(n, nq, tuple(occ), tuple(vir), chains, 0, xy_ref, iz_ref,
                       steps, code_table, identity_code)
 

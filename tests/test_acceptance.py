@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from oracles import excitation_matrix
-from ucclcu.circuit import unitary_of
+from ucclcu.circuit import apply_circuit, unitary_of
 from ucclcu.costs import (cascade_count, prepare_cnot_count, synth_cascade,
                           total_lcu_count)
 from ucclcu.fermion import UccFactor, exact_unitary, ucc_factor_expand
 from ucclcu.lcu import verify_end_to_end
-from ucclcu.prepare import lcu_coefficients, verify_prepare
+from ucclcu.prepare import (_loader, lcu_coefficients, prepare_angles,
+                            prepare_target_amplitudes, verify_prepare)
 from ucclcu.select import verify_select
 
 THETA_GRID = [-0.3, 0.3, math.pi / 4, 1.0, math.pi / 2, 2.5]
@@ -177,16 +178,17 @@ def test_criterion_09_staircase_baseline_and_crossover():
 def test_criterion_10_loader_amplitudes_meet_sqrt_targets():
     for n in (1, 2, 3):
         for theta in THETA_GRID:
-            report = verify_prepare(n, theta, tolerance=1e-9)
+            report = verify_prepare(n, theta)
             assert report.max_deviation <= 1e-9, (n, theta)
             assert not report.used_fallback
 
-    # record (not require): the literal single-pass convention loads the
-    # coefficient magnitudes themselves -- already unit-norm -- rather than
-    # sqrt(|alpha|/s), so it lands far from the targets above
-    literal = verify_prepare(2, 1.0, tolerance=1e-9, mode="paper-literal",
-                             rotation_convention="full")
-    assert literal.max_deviation > 1e-2
-    assert literal.used_fallback
-    assert literal.fallback_deviation is not None
-    assert literal.fallback_deviation <= 1e-9
+    # record (not require): the paper's closed-form angles, read as full
+    # angles on the same skeleton, load the coefficient magnitudes themselves
+    # -- already unit-norm -- rather than sqrt(|alpha|/s), so they land far
+    # from the targets above
+    init = np.zeros(16, dtype=complex)
+    init[0] = 1.0
+    literal = _loader(2, [2.0 * a for a in prepare_angles(2, 1.0)])
+    got = np.abs(apply_circuit(literal, init))
+    target = np.array(prepare_target_amplitudes(2, 1.0))
+    assert np.max(np.abs(got - target)) > 1e-2

@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ucclcu.circuit import (Circuit, Gate, apply_circuit, compose_adjoint,
-                            unitary_of)
+from ucclcu.circuit import Circuit, Gate, apply_circuit, unitary_of
 from ucclcu.errors import DimensionError, ResourceLimitError
 
 from oracles import controlled_phase_factor, controlled_unitary
@@ -156,29 +155,9 @@ class TestCircuitOps:
     def test_compose_adjoint_inverts(self):
         c = self._sample()
         u = unitary_of(c)
-        u_dag = unitary_of(compose_adjoint(c))
+        u_dag = unitary_of(c.compose_adjoint())
         np.testing.assert_allclose(u_dag @ u, np.eye(8), atol=1e-14)
         np.testing.assert_allclose(u_dag, u.conj().T, atol=1e-14)
-
-    def test_with_extra_control(self):
-        c = Circuit(2, [Gate("X", (1,)), Gate("RY", (1,), 0.5)])
-        gated = c.with_extra_control(0, "+")
-        u = unitary_of(gated)
-        # new control |0>: nothing happens on the lower block
-        np.testing.assert_allclose(u[:2, :2], np.eye(2), atol=1e-15)
-        # |1> block: the qubit-1 gates act (leftmost gate applied first)
-        np.testing.assert_allclose(u[2:, 2:], _RY(0.5) @ _X, atol=1e-14)
-
-    def test_with_wire_inserted(self):
-        c = Circuit(2, [Gate("H", (0,)), Gate("X", (1,), controls=((0, "+"),))])
-        wide = c.with_wire_inserted(1)
-        assert wide.num_qubits == 3
-        # the inserted middle wire is untouched: expect U on (q0, q2) ⊗ I on q1
-        u = unitary_of(wide).reshape(2, 2, 2, 2, 2, 2)
-        np.testing.assert_allclose(u[:, 0, :, :, 1, :], np.zeros((2, 2, 2, 2)),
-                                   atol=1e-15)
-        np.testing.assert_allclose(u[:, 0, :, :, 0, :],
-                                   unitary_of(c).reshape(2, 2, 2, 2), atol=1e-14)
 
     def test_append_checks_width(self):
         with pytest.raises(DimensionError):

@@ -105,12 +105,6 @@ class TestSynth:
         assert code == 0
         assert json.loads(out)["gates"]
 
-    def test_prepare_mode_flag(self, capsys):
-        code, out, _ = run(capsys, "synth", "--rank", "1", "--theta", "0.4",
-                           "--part", "prepare", "--prepare-mode",
-                           "paper-literal", "--rotation-convention", "full")
-        assert code == 0 and json.loads(out)["gates"]
-
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "w.json"
         code, out, _ = run(capsys, "synth", "--rank", "1", "--theta", "0.8",
@@ -140,6 +134,13 @@ class TestVerify:
                            "--theta", "0.5", "--tol", "1e-20")
         assert code == 1
         assert json.loads(out)["pass"] is False
+
+    def test_failing_grid_keeps_one_entry_schema(self, capsys):
+        code, out, _ = run(capsys, "verify", "--rank", "1",
+                           "--theta", "0.25,0.5", "--tol", "1e-20")
+        assert code == 1
+        for g in json.loads(out)["grid"]:
+            assert set(g) == {"theta", "deviation", "s", "rounds", "leakage"}
 
     def test_oaa_mode_rounds(self, capsys):
         code, out, _ = run(capsys, "verify", "--rank", "2", "--theta",
@@ -183,6 +184,18 @@ class TestErrorsAndMeta:
                              "--theta", "0.1")
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [
+        ("expand", "--rank", "1"),
+        ("prepare-angles", "--rank", "1"),
+        ("synth", "--rank", "1", "--part", "oaa"),
+        ("verify", "--rank", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_non_finite_theta_exits_two(self, capsys, argv, theta):
+        code, out, err = run(capsys, *argv, f"--theta={theta}")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "theta" in err
 
     def test_empty_rank_rejected(self, capsys):
         code, _, err = run(capsys, "expand", "--rank", "0",

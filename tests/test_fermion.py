@@ -68,6 +68,11 @@ class TestUccFactor:
         with pytest.raises(ValueError):
             UccFactor((0,), (5,), 0.1, 2)               # out of range
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_rejected(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            UccFactor((0,), (1,), theta, 2)
+
     def test_rank_and_actives(self):
         f = UccFactor((0, 2), (4, 6), 0.3, 7)
         assert f.rank == 2

@@ -12,21 +12,13 @@ from ucclcu.lcu import (ancilla_zero_block, apply_postselected, assemble_w,
                         exact_amplification_one_norm, pad_and_synth_oaa,
                         phase_aligned_deviation, reflection_on_ancilla,
                         verify_end_to_end)
-from ucclcu.prepare import lcu_coefficients, synth_prepare
-from ucclcu.select import derive_select_plan, synth_select
+from ucclcu.prepare import lcu_coefficients
 
 THETAS = [-0.3, 0.3, math.pi / 4, 1.0, math.pi / 2, 2.5]
 
 
 def standard_factor(n, theta):
     return UccFactor(tuple(range(n)), tuple(range(n, 2 * n)), theta, 2 * n)
-
-
-def bare_w(f):
-    plan = derive_select_plan(f)
-    prep = synth_prepare(f.rank, f.theta)
-    select = synth_select(f, plan)
-    return assemble_w(prep, select, plan.identity_code, code_wires=2 * f.rank)
 
 
 class TestAmplificationNorms:
@@ -49,7 +41,7 @@ class TestAmplificationNorms:
 class TestAssembleW:
     def test_block_is_unitary_over_s(self):
         f = standard_factor(1, 0.8)
-        w = bare_w(f)
+        w = assemble_w(f)
         s = lcu_coefficients(1, 0.8).s_one_norm
         block, leakage = ancilla_zero_block(w)
         assert np.linalg.norm(s * block - exact_unitary(f), 2) < 1e-12
@@ -58,23 +50,12 @@ class TestAssembleW:
                                         abs=1e-12)
 
     def test_alignment_x_gates(self):
-        f = standard_factor(2, 0.7)
-        plan = derive_select_plan(f)
-        prep = synth_prepare(2, 0.7)
-        select = synth_select(f, plan)
-        w = assemble_w(prep, select, plan.identity_code, code_wires=4)
+        w = assemble_w(standard_factor(2, 0.7))
         bare_x = [g for g in w.gates if g.kind == "X" and not g.controls
                   and g.angle is None]
         # identity code 0100 has one set bit, conjugated on both sides
         assert len(bare_x) == 2
         assert {g.targets[0] for g in bare_x} == {1}
-
-    def test_prepare_register_must_fit(self):
-        f = standard_factor(1, 0.5)
-        select = synth_select(f)
-        wide = Circuit(5, [])
-        with pytest.raises(DimensionError):
-            assemble_w(wide, select)
 
 
 class TestReflection:
@@ -141,7 +122,7 @@ class TestRoundPolicy:
 class TestPostselection:
     def test_state_matches_exact_action(self):
         f = standard_factor(2, 1.0)
-        w = bare_w(f)
+        w = assemble_w(f)
         rng = np.random.default_rng(7)
         psi = rng.normal(size=16) + 1j * rng.normal(size=16)
         psi /= np.linalg.norm(psi)
@@ -158,7 +139,7 @@ class TestPostselection:
             apply_postselected(broken, np.array([1.0, 0.0]))
 
     def test_dimension_guard(self):
-        w = bare_w(standard_factor(1, 0.5))
+        w = assemble_w(standard_factor(1, 0.5))
         with pytest.raises(DimensionError):
             apply_postselected(w, np.ones(8) / math.sqrt(8.0))
 

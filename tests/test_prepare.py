@@ -8,9 +8,9 @@ import pytest
 from ucclcu.circuit import apply_circuit
 from ucclcu.errors import AngleDomainError
 from ucclcu.fermion import UccFactor, ucc_factor_expand
-from ucclcu.prepare import (lcu_coefficients, prepare_angles,
+from ucclcu.prepare import (_loader, lcu_coefficients, prepare_angles,
                             prepare_target_amplitudes, synth_prepare,
-                            synth_state_loader, verify_prepare)
+                            verify_prepare)
 
 THETAS = [-0.3, 0.3, math.pi / 4, 1.0, math.pi / 2, 2.5]
 
@@ -54,6 +54,13 @@ class TestCoefficients:
                     < 2.0 + math.sqrt(2.0)
         # rank 1 peaks at exactly 2 (theta = pi/2)
         assert lcu_coefficients(1, math.pi / 2).s_one_norm == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_rejected(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            lcu_coefficients(1, theta)
+        with pytest.raises(ValueError, match="theta"):
+            prepare_angles(1, theta)
 
 
 class TestAngles:
@@ -129,9 +136,10 @@ class TestSynthPrepare:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_paper_literal_full_convention_loads_alpha_itself(self, n):
-        """The analytic angles reproduce the signed coefficient vector |alpha|
-        as amplitude magnitudes (the alpha vector is automatically unit norm),
-        not sqrt(|alpha|/s) — the reason verified-phases is the default."""
+        """The paper's angles, read as full angles exp(-i theta P) on the
+        loader skeleton, reproduce the coefficient magnitudes |alpha| (the
+        alpha vector is automatically unit norm), not sqrt(|alpha|/s) — the
+        reason the loader takes its angles from the mass recursion."""
         theta = 0.7
         c = lcu_coefficients(n, theta)
         m = c.sector_size
@@ -139,18 +147,12 @@ class TestSynthPrepare:
                              + [abs(c.projector_coeff)] * (m - 1)
                              + [abs(c.excitation_coeff)] * m)
         assert np.linalg.norm(alpha_mag) == pytest.approx(1.0, abs=1e-12)
-        got = np.abs(loaded_state(synth_prepare(
-            n, theta, mode="paper-literal", rotation_convention="full")))
+        got = np.abs(loaded_state(_loader(
+            n, [2.0 * a for a in prepare_angles(n, theta)])))
         assert np.max(np.abs(got - alpha_mag)) <= 1e-12
         # and therefore misses the block-encoding targets by a visible margin
         sqrt_target = np.array(prepare_target_amplitudes(n, theta))
         assert np.max(np.abs(got - sqrt_target)) > 1e-2
-
-    def test_mode_and_convention_validated(self):
-        with pytest.raises(ValueError):
-            synth_prepare(1, 0.5, mode="mystery")
-        with pytest.raises(ValueError):
-            synth_prepare(1, 0.5, rotation_convention="double")
 
     def test_gate_budget_structure(self):
         # level k contributes (2n+1-k) broadcast H's and one RY; plus the RX
@@ -167,23 +169,6 @@ class TestVerifyAndFallback:
             rep = verify_prepare(n, theta)
             assert rep.max_deviation <= 1e-9
             assert not rep.used_fallback
-
-    def test_paper_literal_engages_fallback(self):
-        rep = verify_prepare(2, 0.7, mode="paper-literal")
-        assert rep.used_fallback
-        assert rep.max_deviation > 1e-9          # the recorded defect
-        assert rep.fallback_deviation <= 1e-9    # generic loader rescues it
-
-    def test_state_loader_arbitrary_profile(self):
-        amps = np.sqrt(np.array([0.4, 0.1, 0.05, 0.15, 0.0, 0.2, 0.1, 0.0]))
-        got = loaded_state(synth_state_loader(amps))
-        np.testing.assert_allclose(np.abs(got), amps, atol=1e-12)
-
-    def test_state_loader_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            synth_state_loader([0.6, 0.8, 0.0])      # not a power of two
-        with pytest.raises(ValueError):
-            synth_state_loader([-0.6, 0.8])          # negative amplitude
 
 
 class TestAngleDomain:
