@@ -13,8 +13,8 @@ __version__ = "1.0.0"
 
 from .circuit import Circuit, Gate, apply_circuit, unitary_of
 from .costs import (CostReport, cascade_count, comparison_csv, cost_report,
-                    emit_comparison, prepare_cnot_count, select_cnot_counts,
-                    synth_cascade, total_lcu_count)
+                    emit_comparison, prepare_cnot_count, realized_cnot_count,
+                    select_cnot_counts, synth_cascade, total_lcu_count)
 from .errors import (AngleDomainError, DimensionError, PlanningError,
                      ResourceLimitError)
 from .fermion import (UccFactor, chain_qubits, exact_unitary,
@@ -43,7 +43,7 @@ __all__ = [
     "LcuAssembly", "assemble_w", "apply_postselected", "pad_and_synth_oaa",
     "verify_end_to_end", "exact_amplification_one_norm",
     "CostReport", "cost_report", "prepare_cnot_count", "select_cnot_counts",
-    "total_lcu_count", "cascade_count", "synth_cascade", "emit_comparison",
-    "comparison_csv",
+    "total_lcu_count", "realized_cnot_count", "cascade_count", "synth_cascade",
+    "emit_comparison", "comparison_csv",
     "export_qasm", "lower_controls",
 ]

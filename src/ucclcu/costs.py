@@ -4,7 +4,8 @@ baseline, plus the comparison table.
 Counting conventions: every k>=2-controlled operator costs 8k-12 CNOTs, a
 singly-controlled single-qubit Pauli/phase costs its direct construction
 (the figures below fold those in); QASM-exported decompositions may exceed
-this model and say so in their header.
+this model and say so in their header.  `realized_cnot_count` applies the
+same conventions to an emitted circuit, so the two can be compared.
 """
 
 from __future__ import annotations
@@ -53,6 +54,27 @@ def total_lcu_count(n: int, rho) -> int:
     closed = 128 * n ** 3 - 96 * n ** 2 - 140 * n + 138 + 3 * sum(rho)
     if total != closed:
         raise ArithmeticError(f"LCU count {total} misses its closed form {closed}")
+    return total
+
+
+def realized_cnot_count(circuit: Circuit) -> int:
+    """CNOTs of an emitted circuit under the model's own conventions.
+
+    Per gate with k controls (negative controls are free X conjugations):
+    k >= 2 costs 8k-12; k = 1 costs 1 for X, Y, Z or H (a controlled Pauli,
+    or a CZ between basis changes) and 2 for RX, RY, RZ or PHASE (the
+    standard controlled-rotation construction); k = 0 costs 0.  A GLOBALPHASE
+    with k controls is a PHASE on one control with k-1 controls.
+    """
+    total = 0
+    for gate in circuit.gates:
+        kind, k = gate.kind, len(gate.controls)
+        if kind == "GLOBALPHASE":
+            kind, k = "PHASE", k - 1
+        if k >= 2:
+            total += 8 * k - 12
+        elif k == 1:
+            total += 1 if kind in ("X", "Y", "Z", "H") else 2
     return total
 
 

@@ -174,11 +174,19 @@ def expm_taylor(matrix: np.ndarray) -> np.ndarray:
 
 
 def exact_unitary(f: UccFactor, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
-    """Dense exp(theta (A - A†)) via the Taylor exponential (the oracle route)."""
+    """Dense exp(theta (A - A†)) via the Taylor exponential (the oracle route).
+
+    E³ = -E makes exp(theta E) 2π-periodic in theta, so |theta| > π is first
+    reduced to atan2(sin theta, cos theta): the squarings that a large
+    argument needs would otherwise compound rounding (1.7e-8 at theta = 1e8).
+    """
     if f.num_qubits > cap:
         raise ResourceLimitError(
             f"exact unitary on {f.num_qubits} qubits exceeds cap {cap}")
-    generator = f.theta * excitation_pauli_sum(f).to_dense(cap=cap)
+    theta = f.theta
+    if abs(theta) > math.pi:
+        theta = math.atan2(math.sin(theta), math.cos(theta))
+    generator = theta * excitation_pauli_sum(f).to_dense(cap=cap)
     return expm_taylor(generator)
 
 

@@ -127,27 +127,30 @@ def _loader_angles(n: int, theta: float, identity_offset: float) -> list[float]:
     Family k (codes whose first set bit is at level k) receives total mass
     m_1 = |sin theta|/s for the excitation sector and
     m_k = 2^{2n-k} |projector|/s for k >= 2; the recursion peels each family
-    off the remaining all-zeros-prefix amplitude.
+    off the remaining all-zeros-prefix amplitude.  That remainder is summed
+    from the masses below it (later families plus the identity code), never
+    taken by subtraction, so a zero identity mass stays exactly zero.
     """
     c = lcu_coefficients(n, theta)
     s = c.s_one_norm + identity_offset
     masses = [abs(math.sin(theta)) / s]
     masses += [(1 << (2 * n - k)) * abs(c.projector_coeff) / s
                for k in range(2, 2 * n + 1)]
+    remaining = [(c.identity_coeff + identity_offset) / s]
+    for mass in reversed(masses):
+        remaining.append(remaining[-1] + mass)
     angles = []
-    remaining = 1.0
-    for mass in masses:
-        if remaining <= 1e-300:
+    for mass, total in zip(masses, reversed(remaining[1:])):
+        if total <= 1e-300:
             ratio = 0.0
         else:
-            ratio = mass / remaining
+            ratio = mass / total
             if ratio > 1.0:
                 if ratio > 1.0 + 1e-9:
                     raise AngleDomainError(
                         f"conditional mass ratio {ratio!r} exceeds 1")
                 ratio = 1.0
         angles.append(2.0 * math.asin(math.sqrt(ratio)))
-        remaining = max(remaining - mass, 0.0)
     return angles
 
 

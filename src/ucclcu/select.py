@@ -15,11 +15,19 @@ under a positive control on one code wire:
 
 These masks are the edge set of a path through the 2n active orbitals, hence
 linearly independent over GF(2) and spanning the even-weight toggle space:
-subset products reach each sector's strings exactly once.  Multiplication
-phases i^k are recorded per code and cancelled by ancilla-controlled phase
-gates, which also install the coefficient phases that PREPARE deliberately
-does not carry (u_c := coefficient/|coefficient|, defined as 1 for zero
-coefficients).
+subset products reach each sector's strings exactly once.
+
+Each code c then needs the diagonal phase u_c / i^{k_c}: u_c is the
+coefficient phase that PREPARE deliberately does not carry
+(coefficient/|coefficient|, defined as 1 for zero coefficients) and i^{k_c}
+the phase the mask products left behind.  Both are powers of i, so the
+fix-up is a Z4-valued function of the 2n code bits, synthesized as a phase
+polynomial (Amy, Maslov, Mosca, arXiv:1303.2042): a Moebius transform over
+the code bits gives one PHASE(g pi/2) per monomial, controlled on the
+monomial's other wires.  Within each sector the function is affine; only the
+identity code breaks that, and it gets one mixed-polarity phase of its own.
+At generic theta that is three gates (two at rank 1): S or S† on the sector
+wire, Z on wire 1 and PHASE(pi) with 2n-1 controls on the identity code.
 """
 
 from __future__ import annotations
@@ -36,6 +44,8 @@ from .fermion import (UccFactor, chain_qubits, excitation_pauli_sum,
 from .pauli import PauliString
 
 _UNIT_LABELS = {(1, 0): "+1", (-1, 0): "-1", (0, 1): "+i", (0, -1): "-i"}
+_Z4_UNITS = (1, 1j, -1, -1j)
+_QUARTER_TURNS = {1: math.pi / 2, 2: math.pi, 3: -math.pi / 2}
 
 
 def _unit_label(u: complex) -> str:
@@ -191,13 +201,86 @@ def code_phase_targets(f: UccFactor, plan: SelectPlan) -> dict[int, complex]:
     return out
 
 
+def _z4_exponents(f: UccFactor, plan: SelectPlan) -> np.ndarray:
+    """e_c with i^{e_c} = code_phase_targets[c] / i^{phase_power_c}, per code."""
+    targets = code_phase_targets(f, plan)
+    out = np.zeros(1 << plan.num_ancilla, dtype=np.int64)
+    for code, entry in plan.code_table.items():
+        phi = targets[code] / (1j ** entry.phase_power)
+        powers = [e for e, unit in enumerate(_Z4_UNITS) if abs(phi - unit) <= 1e-12]
+        if not powers:
+            raise PlanningError(f"code {code:0{plan.num_ancilla}b} needs phase "
+                                f"{phi!r}, not a power of i", entry.string.letters)
+        out[code] = powers[0]
+    return out
+
+
+def _mobius_z4(values: np.ndarray, num_bits: int) -> np.ndarray:
+    """Coefficients g_S of values(x) = sum_S g_S prod_{w in S} x_w (mod 4).
+
+    g_S = sum_{T subset of S} (-1)^{|S|-|T|} values[T], one axis per bit;
+    index bit num_bits-1-w is wire w, as for codes.
+    """
+    g = values.reshape((2,) * num_bits).copy()
+    for axis in range(num_bits):
+        lead = (slice(None),) * axis
+        g[lead + (1,)] -= g[lead + (0,)]
+    return g.reshape(-1) % 4
+
+
+def _phase_gate(bits: list[tuple[int, str]], power: int) -> Gate:
+    """i^power on the codes where every (wire, polarity) of bits fires."""
+    angle = _QUARTER_TURNS[power]
+    on = [w for w, pol in bits if pol == "+"]
+    if not on:
+        return Gate("GLOBALPHASE", (), angle, tuple(bits))
+    return Gate("PHASE", (on[0],), angle,
+                tuple((w, pol) for w, pol in bits if w != on[0]))
+
+
+def _phase_fixups(f: UccFactor, plan: SelectPlan) -> list[Gate]:
+    """Diagonal gates giving code c the phase code_phase_targets[c] / i^k_c.
+
+    The Z4 exponent of each code is a polynomial over the 2n code bits
+    (Amy, Maslov, Mosca, arXiv:1303.2042).  Within a sector it is affine, and
+    the identity code alone breaks that (its coefficient keeps sign +1 while
+    its sector takes sign(cos theta - 1)), so that code is peeled off first as
+    one mixed-polarity phase, with the residue that leaves the fewest
+    monomials.  Each remaining monomial S with coefficient g_S becomes a
+    PHASE(g_S pi/2) on one wire of S, positively controlled on the rest; the
+    empty monomial is a GLOBALPHASE.
+    """
+    na = plan.num_ancilla
+    poly = _mobius_z4(_z4_exponents(f, plan), na)
+    spike = np.zeros(1 << na, dtype=np.int64)
+    spike[plan.identity_code] = 1
+    spike = _mobius_z4(spike, na)
+    peel = min(range(4), key=lambda r:
+               np.count_nonzero((poly - r * spike) % 4) + (r != 0))
+    poly = (poly - peel * spike) % 4
+
+    gates = []
+    if peel:
+        code = plan.identity_code
+        gates.append(_phase_gate(
+            [(w, "+" if (code >> (na - 1 - w)) & 1 else "-") for w in range(na)],
+            peel))
+    for mono in np.flatnonzero(poly):
+        gates.append(_phase_gate(
+            [(w, "+") for w in range(na) if (mono >> (na - 1 - w)) & 1],
+            int(poly[mono])))
+    return gates
+
+
 def synth_select(f: UccFactor, plan: SelectPlan | None = None,
                  system_offset: int | None = None) -> Circuit:
     """Emit the SELECT circuit on 2n ancilla + N system qubits.
 
     Gate order: sector-controlled excitation reference (chain Z's first, then
     the active-orbital letters), anticontrolled diagonal reference, the step
-    masks from the highest code wire down, then the per-code phase fix-ups.
+    masks from the highest code wire down, then the phase fix-ups: the
+    identity-code phase, if any, and one gate per monomial of the phase
+    polynomial in ascending code order.
 
     system_offset places the system register (defaults to right after the 2n
     ancilla wires; the amplification assembler passes 2n+1 to leave room for
@@ -205,7 +288,7 @@ def synth_select(f: UccFactor, plan: SelectPlan | None = None,
     """
     if plan is None:
         plan = derive_select_plan(f)
-    n, nq, na = plan.rank, plan.num_qubits, plan.num_ancilla
+    nq, na = plan.num_qubits, plan.num_ancilla
     off = na if system_offset is None else system_offset
     if off < na:
         raise ValueError("system register overlaps the ancilla bank")
@@ -223,22 +306,7 @@ def synth_select(f: UccFactor, plan: SelectPlan | None = None,
         for q in sorted(step.mask.support()):
             circ.append(Gate("Z", (off + q,), controls=((step.wire, step.polarity),)))
 
-    targets = code_phase_targets(f, plan)
-    for code in sorted(plan.code_table):
-        entry = plan.code_table[code]
-        phi = targets[code] / (1j ** entry.phase_power)
-        if abs(phi - 1.0) <= 1e-12:
-            continue
-        angle = float(np.angle(phi))
-        bits = [(w, "+" if (code >> (na - 1 - w)) & 1 else "-") for w in range(na)]
-        set_wires = [w for w, p in bits if p == "+"]
-        if set_wires:
-            target = set_wires[0]
-            controls = tuple((w, p) for w, p in bits if w != target)
-            circ.append(Gate("PHASE", (target,), angle, controls))
-        else:
-            # all-anticontrol code: a controlled global phase does the job
-            circ.append(Gate("GLOBALPHASE", (), angle, tuple(bits)))
+    circ.extend(_phase_fixups(f, plan))
     return circ
 
 

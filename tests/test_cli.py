@@ -148,6 +148,14 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["grid"][0]["rounds"] == 2
 
+    def test_large_theta_passes(self, capsys):
+        # exp(theta E) is 2pi-periodic; an oracle that exponentiates theta
+        # itself drifts to 1.7e-8 at 1e8 and fails a correct circuit
+        code, out, _ = run(capsys, "verify", "--rank", "1", "--theta",
+                           "1e6,1e8,1e9", "--mode", "postselect")
+        assert code == 0
+        assert all(g["deviation"] <= 1e-14 for g in json.loads(out)["grid"])
+
 
 class TestCount:
     def test_table_and_rows(self, capsys):

@@ -5,9 +5,16 @@ import pytest
 
 from ucclcu.costs import (CSV_HEADER, cascade_count, comparison_csv,
                           cost_report, emit_comparison, prepare_cnot_count,
-                          select_cnot_counts, synth_cascade, total_lcu_count)
+                          realized_cnot_count, select_cnot_counts,
+                          synth_cascade, total_lcu_count)
 from ucclcu.fermion import UccFactor, chain_qubits, exact_unitary
-from ucclcu.circuit import unitary_of
+from ucclcu.circuit import Circuit, Gate, unitary_of
+from ucclcu.lcu import pad_and_synth_oaa
+from ucclcu.select import synth_select
+
+
+def adjacent(n, theta=0.7):
+    return UccFactor(tuple(range(n)), tuple(range(n, 2 * n)), theta, 2 * n)
 
 
 class TestClosedForms:
@@ -90,6 +97,50 @@ class TestCrossover:
         for seq in ([total_lcu_count(n, zero(n)) for n in range(1, 10)],
                     [cascade_count(n, zero(n)) for n in range(1, 10)]):
             assert all(b > a for a, b in zip(seq, seq[1:]))
+
+
+class TestRealizedCounts:
+    """The model's conventions applied to the circuits actually emitted."""
+
+    def test_counting_rules(self):
+        circ = Circuit(5, [
+            Gate("H", (0,)),                                   # 0
+            Gate("Y", (1,), controls=((0, "-"),)),             # 1
+            Gate("RY", (1,), 0.3, ((0, "+"),)),                # 2
+            Gate("PHASE", (2,), 0.3, ((0, "+"), (1, "-"))),    # 8*2-12
+            Gate("X", (4,), controls=((0, "+"), (1, "+"), (2, "-"))),  # 12
+            Gate("GLOBALPHASE", (), 0.3, ((3, "+"),)),         # 0
+            Gate("GLOBALPHASE", (), 0.3, ((3, "+"), (4, "-"))),  # 2
+        ])
+        assert realized_cnot_count(circ) == 1 + 2 + 4 + 12 + 0 + 2
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_select_is_linear_in_rank(self, n):
+        # 6n for references and masks (under the model's 8n-2) plus the one
+        # remaining nonlinear fix-up: PHASE(pi) on the identity code with
+        # 2n-1 controls, 16n-20 CNOTs, the gap left to the model
+        realized = realized_cnot_count(synth_select(adjacent(n)))
+        model = sum(select_cnot_counts(n, [0] * (2 * n - 2)))
+        if n == 1:
+            assert realized == 8 and model == 6
+        else:
+            assert realized == 22 * n - 20
+            assert realized - (16 * n - 20) <= model
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_one_round_oaa_meets_model(self, n):
+        assembly = pad_and_synth_oaa(adjacent(n))
+        assert assembly.oaa_rounds == 1
+        assert realized_cnot_count(assembly.oaa_circuit) <= \
+            total_lcu_count(n, [0] * (2 * n - 2))
+
+    def test_low_rank_gap(self):
+        # ranks 1-2 exceed the model: the pad wire adds a control to every
+        # PREPARE gate, which the model (no pad) does not count
+        realized = [realized_cnot_count(pad_and_synth_oaa(adjacent(n)).oaa_circuit)
+                    for n in (1, 2)]
+        assert realized == [104, 736]
+        assert [total_lcu_count(n, [0] * (2 * n - 2)) for n in (1, 2)] == [30, 498]
 
 
 class TestCascadeSynthesis:

@@ -170,6 +170,12 @@ class TestVerifyAndFallback:
             assert rep.max_deviation <= 1e-9
             assert not rep.used_fallback
 
+    @pytest.mark.parametrize("theta", [math.pi, -math.pi, 3 * math.pi])
+    def test_zero_identity_mass_loads_exactly(self, theta):
+        # rank 1 at odd multiples of pi: the identity code's target is 0, and
+        # a remainder taken by subtraction left 1.49e-8 on it
+        assert verify_prepare(1, theta).max_deviation <= 1e-12
+
 
 class TestAngleDomain:
     def test_checked_arcsin_raises_beyond_slack(self):

@@ -1,6 +1,8 @@
 """Code-to-string planning and the controlled-mask SELECT circuit."""
 
+import functools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -207,6 +209,73 @@ class TestSynthAndVerify:
     def test_system_offset_guard(self):
         with pytest.raises(ValueError):
             synth_select(ADJ2, system_offset=3)
+
+
+@functools.lru_cache(maxsize=None)
+def plan_for(occ, virt, nq):
+    # plans do not depend on theta, and rank-6 planning takes a second
+    return derive_select_plan(UccFactor(occ, virt, 0.7, nq))
+
+
+def fixup_phases(circuit, num_ancilla):
+    """Phase each ancilla code picks up from the PHASE/GLOBALPHASE gates,
+    read gate by gate from the controls, with no statevector."""
+    fixups = [g for g in circuit.gates if g.kind in ("PHASE", "GLOBALPHASE")]
+    out = {}
+    for code in range(1 << num_ancilla):
+        bit = lambda w: (code >> (num_ancilla - 1 - w)) & 1
+        phase = 1.0 + 0j
+        for g in fixups:
+            fires = all(bit(q) == (pol == "+") for q, pol in g.controls)
+            if fires and all(bit(t) for t in g.targets):
+                phase *= np.exp(1j * g.angle)
+        out[code] = phase
+    return out
+
+
+FIXUP_LAYOUTS = [
+    ((0, 1, 2, 3), (4, 5, 6, 7), 8),
+    ((0, 2, 3, 5), (6, 9, 10, 12), 13),
+    ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9), 10),
+    ((0, 1, 2, 3, 4, 5), (6, 7, 8, 9, 10, 11), 12),
+]
+FIXUP_THETAS = [0.0, 1e-20, math.pi, -math.pi, 2 * math.pi, 0.7, -2.5]
+
+
+class TestPhasePolynomial:
+    """The fix-ups past the dense cap, read off the gates themselves."""
+
+    @pytest.mark.parametrize("layout", FIXUP_LAYOUTS)
+    def test_fixups_meet_code_targets(self, layout):
+        plan = plan_for(*layout)
+        na = plan.num_ancilla
+        for theta in FIXUP_THETAS:
+            f = UccFactor(layout[0], layout[1], theta, layout[2])
+            got = fixup_phases(synth_select(f, plan), na)
+            targets = code_phase_targets(f, plan)
+            for code, entry in plan.code_table.items():
+                want = targets[code] / 1j ** entry.phase_power
+                assert abs(got[code] - want) <= 1e-12, (theta, code)
+
+    @pytest.mark.parametrize("layout", [((0,), (1,), 2), ((0, 1), (4, 6), 7)]
+                             + FIXUP_LAYOUTS)
+    def test_fixup_shape(self, layout):
+        plan = plan_for(*layout)
+        n = plan.rank
+        for theta in (0.7, -0.7, 2.5, -2.5, 3.0):
+            f = UccFactor(layout[0], layout[1], theta, layout[2])
+            fixups = [g for g in synth_select(f, plan).gates
+                      if g.kind in ("PHASE", "GLOBALPHASE")]
+            assert len(fixups) <= 3
+            assert max(len(g.controls) for g in fixups) <= 2 * n - 1
+
+    def test_phase_outside_z4_is_refused(self, monkeypatch):
+        import ucclcu.select as select_mod
+        real = select_mod.code_phase_targets
+        monkeypatch.setattr(select_mod, "code_phase_targets", lambda f, plan: {
+            c: u * np.exp(0.1j) for c, u in real(f, plan).items()})
+        with pytest.raises(PlanningError):
+            synth_select(ADJ2)
 
 
 class TestPlanningFailure:
