@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ResourceLimitError
-
-SIMULATION_QUBIT_CAP = 14
+from .pauli import DENSE_QUBIT_CAP
 
 GATE_KINDS = ("H", "X", "Y", "Z", "RX", "RY", "RZ", "PHASE", "GLOBALPHASE")
 ANGLED_KINDS = ("RX", "RY", "RZ", "PHASE", "GLOBALPHASE")
@@ -188,21 +187,6 @@ class Circuit:
         return cls.from_json_dict(json.loads(text))
 
 
-def apply_matrix(work: np.ndarray, sel: list, target: int, m: np.ndarray):
-    """In place: the 2x2 matrix m on qubit axis `target` of work.
-
-    work has one length-2 axis per qubit (plus any trailing batch axes); sel
-    holds one index per qubit axis, slice(None) for free qubits and the firing
-    value 0 or 1 for controls, so only the controlled subspace is updated.
-    """
-    sel_a, sel_b = list(sel), list(sel)
-    sel_a[target], sel_b[target] = 0, 1
-    a = work[tuple(sel_a)].copy()
-    b = work[tuple(sel_b)]
-    work[tuple(sel_a)] = m[0, 0] * a + m[0, 1] * b
-    work[tuple(sel_b)] = m[1, 0] * a + m[1, 1] * b
-
-
 def apply_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Run the circuit on a statevector (or a batch of column vectors).
 
@@ -240,12 +224,18 @@ def apply_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
         if gate.kind == "GLOBALPHASE":
             work[tuple(sel)] = work[tuple(sel)] * np.exp(1j * gate.angle)
             continue
-        apply_matrix(work, sel, gate.targets[0],
-                     _gate_matrix(gate.kind, gate.angle))
+        # the 2x2 update on the target axis, inside the controlled subspace
+        m = _gate_matrix(gate.kind, gate.angle)
+        sel_a, sel_b = list(sel), list(sel)
+        sel_a[gate.targets[0]], sel_b[gate.targets[0]] = 0, 1
+        a = work[tuple(sel_a)].copy()
+        b = work[tuple(sel_b)]
+        work[tuple(sel_a)] = m[0, 0] * a + m[0, 1] * b
+        work[tuple(sel_b)] = m[1, 0] * a + m[1, 1] * b
     return work.reshape(arr.shape)
 
 
-def unitary_of(circuit: Circuit, cap: int = SIMULATION_QUBIT_CAP) -> np.ndarray:
+def unitary_of(circuit: Circuit, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
     """Full unitary: column j is the circuit applied to basis state |j>."""
     if circuit.num_qubits > cap:
         raise ResourceLimitError(

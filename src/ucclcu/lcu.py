@@ -8,7 +8,7 @@ The coefficient one-norm s fixes everything: postselection succeeds with
 probability 1/s², and m amplification rounds are exact precisely when s equals
 s_m = 1/sin(pi/(2(2m+1))) (s_0 = 1, s_1 = 2, s_2 ≈ 3.23607).  For any other s
 the bank is padded: one extra ancilla wire carries an identity-labeled branch
-of weight c = (s_m - s)/2 whose sign is flipped by a single controlled PHASE,
+of weight c = (s_m - s)/2 whose sign is flipped by a bare Z on that wire,
 while +c is folded into the identity code of the main bank — the identity
 contributions cancel, and the padded one-norm lands on s_m exactly.
 """
@@ -49,9 +49,11 @@ def assemble_w(f: UccFactor, plan: SelectPlan | None = None,
 
     With s_target above the one-norm s, the bank gains the pad wire 2n: an RY
     on it loads the branch of weight c = (s_target - s)/2, B is anticontrolled
-    on it and loads +c extra on the identity code, and a PHASE(pi) on
-    (pad = 1, main = identity code) gives the pad branch -c.  The identity
-    contributions cancel and the one-norm becomes s_target.
+    on it and loads +c extra on the identity code, and a Z on the pad wire
+    gives the pad branch -c.  The identity contributions cancel and the
+    one-norm becomes s_target.  The Z needs no controls: with B off, the pad
+    branch keeps the main bank at all zeros, which the X alignment maps to
+    the identity code.
 
     PREPARE places the identity coefficient on the all-zeros code while the
     plan maps plan.identity_code to the identity string, so SELECT is
@@ -71,7 +73,7 @@ def assemble_w(f: UccFactor, plan: SelectPlan | None = None,
         prep = [Gate("RY", (na,), 2.0 * math.asin(math.sqrt(c / s_target)))] + \
             [Gate(g.kind, g.targets, g.angle, g.controls + ((na, "-"),))
              for g in prep]
-        select.append(Gate("PHASE", (na,), math.pi, tuple(code)))
+        select.append(Gate("Z", (na,)))
     align = [Gate("X", (w,)) for w, pol in code if pol == "+"]
     circ = Circuit(select.num_qubits, num_ancilla=select.num_ancilla)
     circ.extend(prep + align + select.gates + align)

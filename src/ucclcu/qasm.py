@@ -1,113 +1,94 @@
 """OPENQASM 2.0 export.
 
 The internal gate set allows any number of polarized controls; OPENQASM 2.0
-(qelib1) stops at two.  Export therefore lowers every gate to at most one
-positive control first:
+(qelib1) stops at two.  Export therefore lowers every gate to package gates
+with at most one positive control first, without leaving the gate set:
 
 * negative controls are conjugated away with X gates;
-* a k>=2-controlled U becomes CV, C^{k-1}X, CV†, C^{k-1}X, C^{k-1}V with
-  V = sqrt(U) (principal branch), recursively;
-* a controlled global phase is a diagonal phase gate on one of its controls.
+* a controlled global phase is a PHASE on its last control;
+* a k>=2-controlled X, Y or H is conjugated to Z by uncontrolled gates
+  (X = H Z H, Y = S X S†, H = RY(pi/4) Z RY(-pi/4)), and Z is PHASE(pi);
+* a k>=2-controlled PHASE, RX, RY or RZ at angle a becomes CV, C^{k-1}X, CV†,
+  C^{k-1}X, C^{k-1}V with V the same kind at angle a/2 (Barenco et al.,
+  quant-ph/9503016, Lemma 7.5), recursively;
+* RZ(a) with at most one control is PHASE(a) times a global phase e^{-ia/2}
+  under the same control.
 
 The lowering is exact including global phase (uncontrolled global phases are
-kept as explicit records and dropped only at text emission, with a comment).
+kept as GLOBALPHASE gates and dropped only at text emission, with a comment).
 It is deliberately ancilla-free and therefore exponential in the control
 count — fine for export, not a statement about gate cost; the CNOT figures in
 the cost module use the 8k-12 counting model instead, and emitted files say so
-in their header.
+in their header.  Emission is then a lookup on the gate kind.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, _gate_matrix, apply_matrix
+from .circuit import Circuit, Gate, apply_circuit
+
+# Uncontrolled gates that, applied before a Z (and inverted after it), give
+# the keyed kind.  Listed in circuit order.
+_TO_Z = {
+    "X": (("H", None),),
+    "Y": (("PHASE", -math.pi / 2), ("H", None)),
+    "H": (("RY", -math.pi / 4),),
+}
 
 
-@dataclass(frozen=True)
-class LoweredOp:
-    """One exported primitive: a single-qubit matrix with at most one
-    (positive) control, or a bare global phase (matrix None)."""
-
-    matrix: np.ndarray | None
-    target: int | None
-    control: int | None
-    phase_angle: float | None = None  # set only for the bare global phase
-
-
-def _principal_sqrt(u: np.ndarray) -> np.ndarray:
-    """Principal square root of a 2x2 unitary via its eigensystem."""
-    w, v = np.linalg.eig(u)
-    root = v @ np.diag(np.exp(0.5j * np.angle(w))) @ np.linalg.inv(v)
-    if not np.allclose(root @ root, u, atol=1e-12):
-        raise ArithmeticError("principal square root does not square back")
-    return root
-
-
-def _x_op(q: int) -> LoweredOp:
-    return LoweredOp(_gate_matrix("X", None), q, None)
-
-
-def _lower_controlled_matrix(matrix: np.ndarray, target: int,
-                             controls: tuple[int, ...]) -> list[LoweredOp]:
-    """All controls positive; returns the exact ancilla-free decomposition."""
-    if not controls:
-        return [LoweredOp(matrix, target, None)]
-    if len(controls) == 1:
-        return [LoweredOp(matrix, target, controls[0])]
+def _lower_positive(kind: str, target: int | None, angle: float | None,
+                    controls: tuple[int, ...]) -> list[Gate]:
+    """kind on target under positive controls, as gates with <= 1 control."""
+    if kind == "GLOBALPHASE":
+        if not controls:
+            return [Gate("GLOBALPHASE", (), angle)]
+        *rest, last = controls
+        return _lower_positive("PHASE", last, angle, tuple(rest))
+    if len(controls) <= 1:
+        pos = tuple((q, "+") for q in controls)
+        if kind == "RZ":
+            return [Gate("PHASE", (target,), angle, pos)] + \
+                _lower_positive("GLOBALPHASE", None, -angle / 2.0, controls)
+        return [Gate(kind, (target,), angle, pos)]
+    if kind in _TO_Z:
+        pre = [Gate(k, (target,), a) for k, a in _TO_Z[kind]]
+        return pre + _lower_positive("Z", target, None, controls) + \
+            [g.inverse() for g in reversed(pre)]
+    if kind == "Z":
+        return _lower_positive("PHASE", target, math.pi, controls)
     *rest, last = controls
     rest = tuple(rest)
-    v = _principal_sqrt(matrix)
-    x = _gate_matrix("X", None)
-    out = [LoweredOp(v, target, last)]
-    out += _lower_controlled_matrix(x, last, rest)
-    out += [LoweredOp(v.conj().T, target, last)]
-    out += _lower_controlled_matrix(x, last, rest)
-    out += _lower_controlled_matrix(v, target, rest)
-    return out
+    flip = _lower_positive("X", last, None, rest)
+    return (_lower_positive(kind, target, angle / 2.0, (last,)) + flip
+            + _lower_positive(kind, target, -angle / 2.0, (last,)) + flip
+            + _lower_positive(kind, target, angle / 2.0, rest))
 
 
-def lower_gate(gate: Gate) -> list[LoweredOp]:
-    negs = [q for q, p in gate.controls if p == "-"]
-    pos = tuple(q for q, p in gate.controls if p == "+") + tuple(negs)
-    wrap = [_x_op(q) for q in negs]
-    if gate.kind == "GLOBALPHASE":
-        if not pos:
-            return [LoweredOp(None, None, None, gate.angle)]
-        *rest, last = pos
-        core = _lower_controlled_matrix(
-            np.diag([1.0, np.exp(1j * gate.angle)]).astype(complex),
-            last, tuple(rest))
-    else:
-        core = _lower_controlled_matrix(_gate_matrix(gate.kind, gate.angle),
-                                        gate.targets[0], pos)
-    return wrap + core + list(reversed(wrap))
+def lower_gate(gate: Gate) -> list[Gate]:
+    """One gate as an exact sequence of gates with <= 1 positive control."""
+    negs = tuple(q for q, p in gate.controls if p == "-")
+    controls = tuple(q for q, p in gate.controls if p == "+") + negs
+    wrap = [Gate("X", (q,)) for q in negs]
+    target = gate.targets[0] if gate.targets else None
+    return wrap + _lower_positive(gate.kind, target, gate.angle, controls) + wrap
 
 
-def lower_controls(circuit: Circuit) -> list[LoweredOp]:
-    """Flatten the whole circuit to <=1-control primitives (exact)."""
-    ops: list[LoweredOp] = []
+def lower_controls(circuit: Circuit) -> list[Gate]:
+    """Flatten the whole circuit to gates with at most one control, positive
+    (exact, global phase included)."""
+    ops: list[Gate] = []
     for g in circuit.gates:
         ops.extend(lower_gate(g))
     return ops
 
 
-def lowered_unitary(num_qubits: int, ops: list[LoweredOp]) -> np.ndarray:
-    """Dense unitary of a lowered op list (for equivalence checking)."""
-    dim = 1 << num_qubits
-    work = np.eye(dim, dtype=complex).reshape((2,) * num_qubits + (dim,))
-    for op in ops:
-        if op.matrix is None:
-            work = work * np.exp(1j * op.phase_angle)
-            continue
-        sel: list = [slice(None)] * num_qubits
-        if op.control is not None:
-            sel[op.control] = 1
-        apply_matrix(work, sel, op.target, op.matrix)
-    return work.reshape(dim, dim)
+def lowered_unitary(num_qubits: int, ops: list[Gate]) -> np.ndarray:
+    """Dense unitary of a lowered gate list (for equivalence checking)."""
+    return apply_circuit(Circuit(num_qubits, list(ops)),
+                         np.eye(1 << num_qubits, dtype=complex))
 
 
 # ------------------------------------------------------------------ emission
@@ -116,71 +97,25 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _u3_params(u: np.ndarray) -> tuple[float, float, float, float]:
-    """(delta, theta, phi, lam) with u = e^{i delta} * u3(theta, phi, lam)."""
-    theta = 2.0 * math.atan2(abs(u[1, 0]), abs(u[0, 0]))
-    if abs(u[0, 0]) > 1e-12:
-        delta = float(np.angle(u[0, 0]))
-        phi = float(np.angle(u[1, 0])) - delta if abs(u[1, 0]) > 1e-12 else 0.0
-        lam = float(np.angle(-u[0, 1])) - delta if abs(u[0, 1]) > 1e-12 else 0.0
-    else:
-        delta = 0.0
-        phi = float(np.angle(u[1, 0]))
-        lam = float(np.angle(-u[0, 1]))
-    return delta, theta, phi, lam
+# qelib1 name of each kind that survives lowering (RZ does not)
+_NAMES = {"X": "x", "Y": "y", "Z": "z", "H": "h",
+          "PHASE": "u1", "RX": "u3", "RY": "u3"}
+# u3(a, phi, lam) equals RX(a) and RY(a) exactly (no global phase)
+_U3_PHASES = {"RX": (-math.pi / 2, math.pi / 2), "RY": (0.0, 0.0)}
 
 
-_NAMED = (
-    ("x", _gate_matrix("X", None)),
-    ("y", _gate_matrix("Y", None)),
-    ("z", _gate_matrix("Z", None)),
-    ("h", _gate_matrix("H", None)),
-    ("s", np.diag([1.0, 1.0j]).astype(complex)),
-    ("sdg", np.diag([1.0, -1.0j]).astype(complex)),
-)
-
-
-def _match_named(u: np.ndarray) -> str | None:
-    for name, m in _NAMED:
-        if np.allclose(u, m, atol=1e-12):
-            return name
-    return None
-
-
-def _emit_op(op: LoweredOp, lines: list[str]):
-    if op.matrix is None:
-        lines.append(f"// global phase exp({_fmt(op.phase_angle)}j) omitted")
-        return
-    u = op.matrix
-    if op.control is None:
-        name = _match_named(u)
-        if name is not None:
-            lines.append(f"{name} q[{op.target}];")
-            return
-        if abs(u[0, 1]) < 1e-14 and abs(u[1, 0]) < 1e-14:
-            # diagonal: u1 up to the (dropped) global phase of u[0,0]
-            lam = float(np.angle(u[1, 1] / u[0, 0]))
-            lines.append(f"u1({_fmt(lam)}) q[{op.target}];")
-            return
-        _, theta, phi, lam = _u3_params(u)
-        lines.append(f"u3({_fmt(theta)},{_fmt(phi)},{_fmt(lam)}) q[{op.target}];")
-        return
-    name = _match_named(u)
-    if name in ("x", "y", "z", "h"):
-        lines.append(f"c{name} q[{op.control}],q[{op.target}];")
-        return
-    if abs(u[0, 1]) < 1e-14 and abs(u[1, 0]) < 1e-14:
-        delta = float(np.angle(u[0, 0]))
-        if abs(delta) > 1e-14:
-            lines.append(f"u1({_fmt(delta)}) q[{op.control}];")
-        lam = float(np.angle(u[1, 1] / u[0, 0]))
-        lines.append(f"cu1({_fmt(lam)}) q[{op.control}],q[{op.target}];")
-        return
-    delta, theta, phi, lam = _u3_params(u)
-    if abs(delta) > 1e-14:
-        lines.append(f"u1({_fmt(delta)}) q[{op.control}];")
-    lines.append(f"cu3({_fmt(theta)},{_fmt(phi)},{_fmt(lam)}) "
-                 f"q[{op.control}],q[{op.target}];")
+def _emit(gate: Gate) -> str:
+    """The qelib1 line of one lowered gate; a bare global phase becomes a
+    comment."""
+    if gate.kind == "GLOBALPHASE":
+        return f"// global phase exp({_fmt(gate.angle)}j) omitted"
+    name = _NAMES[gate.kind]
+    if gate.angle is not None:
+        params = (gate.angle,) + _U3_PHASES.get(gate.kind, ())
+        name += "(" + ",".join(_fmt(p) for p in params) + ")"
+    if gate.controls:
+        return f"c{name} q[{gate.controls[0][0]}],q[{gate.targets[0]}];"
+    return f"{name} q[{gate.targets[0]}];"
 
 
 def export_qasm(circuit: Circuit, provenance: list[str] | None = None) -> str:
@@ -191,12 +126,11 @@ def export_qasm(circuit: Circuit, provenance: list[str] | None = None) -> str:
     lines = [f"// {p}" for p in (provenance or [])]
     lines += [
         "// Multi-controlled gates are lowered ancilla-free (recursive",
-        "// controlled-sqrt scheme): the CNOT totals below exceed the 8k-12",
-        "// counting model used by the cost reports.",
+        "// controlled half-angle scheme): the CNOT totals below exceed the",
+        "// 8k-12 counting model used by the cost reports.",
         "OPENQASM 2.0;",
         'include "qelib1.inc";',
         f"qreg q[{circuit.num_qubits}];",
     ]
-    for op in lower_controls(circuit):
-        _emit_op(op, lines)
+    lines += [_emit(g) for g in lower_controls(circuit)]
     return "\n".join(lines) + "\n"

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ucclcu
 from ucclcu import __version__
 from ucclcu.circuit import Circuit, unitary_of
 from ucclcu.cli import main
@@ -157,6 +162,18 @@ class TestVerify:
         assert all(g["deviation"] <= 1e-14 for g in json.loads(out)["grid"])
 
 
+    @pytest.mark.parametrize("argv", [
+        ("--theta", ","),
+        ("--theta", "0.5", "--tol", "nan"),
+        ("--theta", "0.5", "--tol=-1"),
+        ("--theta", "0.5", "--tol", "inf"),
+    ], ids=["empty-grid", "nan-tol", "negative-tol", "inf-tol"])
+    def test_malformed_grid_or_tolerance_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, "verify", "--rank", "1", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+
 class TestCount:
     def test_table_and_rows(self, capsys):
         code, out, _ = run(capsys, "count", "--rank-max", "2")
@@ -179,6 +196,28 @@ class TestCount:
         _, out_a, _ = run(capsys, "count", "--rank-max", "4")
         _, out_b, _ = run(capsys, "count", "--rank-max", "4")
         assert out_a == out_b
+
+
+class TestCrossProcessDeterminism:
+    LAYOUT = ("--occ", "0,2", "--virt", "3,5", "--n-qubits", "7")
+
+    @pytest.mark.parametrize("argv", [
+        ("synth", *LAYOUT, "--theta", "0.7", "--part", "oaa", "--qasm"),
+        ("plan", *LAYOUT),
+    ], ids=lambda argv: argv[0])
+    def test_bytes_independent_of_hash_seed(self, argv):
+        # reruns inside one process share its hash seed, so they cannot see
+        # output that depends on set or hash order
+        src = str(Path(ucclcu.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = [
+            subprocess.run([sys.executable, "-m", "ucclcu", *argv],
+                           env=dict(os.environ, PYTHONHASHSEED=seed,
+                                    PYTHONPATH=path),
+                           capture_output=True, check=True,
+                           timeout=300).stdout
+            for seed in ("0", "1")]
+        assert outputs[0] and outputs[0] == outputs[1]
 
 
 class TestErrorsAndMeta:

@@ -139,7 +139,7 @@ class TestRealizedCounts:
         # PREPARE gate, which the model (no pad) does not count
         realized = [realized_cnot_count(pad_and_synth_oaa(adjacent(n)).oaa_circuit)
                     for n in (1, 2)]
-        assert realized == [104, 736]
+        assert realized == [92, 676]
         assert [total_lcu_count(n, [0] * (2 * n - 2)) for n in (1, 2)] == [30, 498]
 
 

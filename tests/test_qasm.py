@@ -19,7 +19,8 @@ ALLOWED = {"x", "y", "z", "h", "s", "sdg", "cx", "cy", "cz", "ch",
 
 def lowered_matches(circ, tol=1e-12):
     ops = lower_controls(circ)
-    assert all(op.control is None or isinstance(op.control, int) for op in ops)
+    assert all(isinstance(op, Gate) and len(op.controls) <= 1
+               and all(pol == "+" for _, pol in op.controls) for op in ops)
     got = lowered_unitary(circ.num_qubits, ops)
     return float(np.linalg.norm(got - unitary_of(circ), 2)) <= tol
 
@@ -32,7 +33,8 @@ class TestLowering:
         ((0, "-"), (1, "-"), (3, "+")),
     ])
     @pytest.mark.parametrize("kind,angle", [
-        ("X", None), ("H", None), ("RY", 0.7), ("RZ", -1.3), ("PHASE", 2.1)])
+        ("X", None), ("Y", None), ("Z", None), ("H", None), ("RX", 0.4),
+        ("RY", 0.7), ("RZ", -1.3), ("PHASE", 2.1)])
     def test_multi_control_exact(self, controls, kind, angle):
         width = 4
         target = 2 if all(c != 2 for c, _ in controls) else 1
@@ -48,23 +50,25 @@ class TestLowering:
     def test_bare_global_phase_kept_in_ops(self):
         circ = Circuit(1, [Gate("GLOBALPHASE", (), 1.1)])
         ops = lower_controls(circ)
-        assert len(ops) == 1 and ops[0].matrix is None
+        assert ops == [Gate("GLOBALPHASE", (), 1.1)]
         got = lowered_unitary(1, ops)
         assert np.allclose(got, np.exp(1.1j) * np.eye(2))
 
     def test_double_control_recursion_shape(self):
         gate = Gate("X", (2,), controls=((0, "+"), (1, "+")))
         ops = lower_gate(gate)
-        assert len(ops) == 5  # CV, CX, CV†, CX, CV on the control pair
-        assert all(op.control is not None for op in ops)
+        # H, then CV, CX, CV†, CX, CV on the control pair with V = S, then H
+        assert len(ops) == 7
+        assert ops[0] == ops[-1] == Gate("H", (2,))
+        assert [op.kind for op in ops[1:-1]] == ["PHASE", "X", "PHASE", "X",
+                                                  "PHASE"]
+        assert all(len(op.controls) == 1 for op in ops[1:-1])
 
     def test_negative_controls_wrap_with_x(self):
         gate = Gate("Z", (1,), controls=((0, "-"),))
         ops = lower_gate(gate)
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        assert np.allclose(ops[0].matrix, x)
-        assert np.allclose(ops[-1].matrix, x)
-        assert ops[0].target == ops[-1].target == 0
+        assert ops[0] == ops[-1] == Gate("X", (0,))
+        assert ops[1] == Gate("Z", (1,), controls=((0, "+"),))
 
     def test_full_rank1_amplification(self):
         a = pad_and_synth_oaa(UccFactor((0,), (1,), 0.8, 2))
@@ -168,6 +172,13 @@ class TestEmission:
         lambda: pad_and_synth_oaa(UccFactor((0,), (1,), 0.8, 2)).w_circuit,
         lambda: pad_and_synth_oaa(UccFactor((0,), (1,),
                                             math.pi / 2, 2)).oaa_circuit,
+        lambda: Circuit(4, [Gate("Y", (3,), None,
+                                 ((0, "-"), (1, "+"), (2, "-")))]),
+        lambda: Circuit(4, [Gate("H", (0,), None, ((1, "+"), (3, "-")))]),
+        lambda: Circuit(4, [Gate("RZ", (2,), 0.9,
+                                 ((0, "+"), (1, "-"), (3, "+")))]),
+        lambda: Circuit(4, [Gate("GLOBALPHASE", (), -0.7,
+                                 ((0, "-"), (2, "+"), (3, "-")))]),
     ])
     def test_text_semantics_up_to_global_phase(self, build):
         circ = build()
