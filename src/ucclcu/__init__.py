@@ -12,20 +12,19 @@ and OPENQASM 2.0 export (`qasm`).  `cli` exposes everything as subcommands.
 __version__ = "1.0.0"
 
 from .circuit import Circuit, Gate, apply_circuit, unitary_of
-from .costs import (CostReport, cascade_count, comparison_csv, cost_report,
-                    emit_comparison, prepare_cnot_count, realized_cnot_count,
+from .costs import (cascade_count, comparison_csv, emit_comparison,
+                    prepare_cnot_count, realized_cnot_count,
                     select_cnot_counts, synth_cascade, total_lcu_count)
 from .errors import (AngleDomainError, DimensionError, PlanningError,
                      ResourceLimitError)
 from .fermion import (UccFactor, chain_qubits, exact_unitary,
                       excitation_pauli_sum, jw_ladder, projector_pauli_sum,
                       ucc_factor_expand)
-from .lcu import (LcuAssembly, apply_postselected, assemble_w,
-                  exact_amplification_one_norm, pad_and_synth_oaa,
-                  verify_end_to_end)
-from .pauli import PauliString, PauliSum, commutes, multiply, to_dense
-from .prepare import (LcuCoefficients, PrepareAngles, lcu_coefficients,
-                      prepare_angles, synth_prepare, verify_prepare)
+from .lcu import (LcuAssembly, assemble_w, exact_amplification_one_norm,
+                  pad_and_synth_oaa, verify_end_to_end)
+from .pauli import PauliString, PauliSum
+from .prepare import (LcuCoefficients, lcu_coefficients, prepare_angles,
+                      synth_prepare, verify_prepare)
 from .qasm import export_qasm, lower_controls
 from .select import (SelectPlan, derive_select_plan, synth_select,
                      verify_select)
@@ -33,16 +32,16 @@ from .select import (SelectPlan, derive_select_plan, synth_select,
 __all__ = [
     "__version__",
     "AngleDomainError", "DimensionError", "PlanningError", "ResourceLimitError",
-    "PauliString", "PauliSum", "multiply", "commutes", "to_dense",
+    "PauliString", "PauliSum",
     "UccFactor", "jw_ladder", "excitation_pauli_sum", "projector_pauli_sum",
     "ucc_factor_expand", "exact_unitary", "chain_qubits",
     "Circuit", "Gate", "apply_circuit", "unitary_of",
-    "LcuCoefficients", "PrepareAngles", "lcu_coefficients", "prepare_angles",
+    "LcuCoefficients", "lcu_coefficients", "prepare_angles",
     "synth_prepare", "verify_prepare",
     "SelectPlan", "derive_select_plan", "synth_select", "verify_select",
-    "LcuAssembly", "assemble_w", "apply_postselected", "pad_and_synth_oaa",
+    "LcuAssembly", "assemble_w", "pad_and_synth_oaa",
     "verify_end_to_end", "exact_amplification_one_norm",
-    "CostReport", "cost_report", "prepare_cnot_count", "select_cnot_counts",
+    "prepare_cnot_count", "select_cnot_counts",
     "total_lcu_count", "realized_cnot_count", "cascade_count", "synth_cascade",
     "emit_comparison", "comparison_csv",
     "export_qasm", "lower_controls",

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ResourceLimitError
-from .pauli import DENSE_QUBIT_CAP
+from .errors import DimensionError
+from .pauli import check_dense
 
 GATE_KINDS = ("H", "X", "Y", "Z", "RX", "RY", "RZ", "PHASE", "GLOBALPHASE")
 ANGLED_KINDS = ("RX", "RY", "RZ", "PHASE", "GLOBALPHASE")
@@ -235,10 +235,8 @@ def apply_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     return work.reshape(arr.shape)
 
 
-def unitary_of(circuit: Circuit, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+def unitary_of(circuit: Circuit) -> np.ndarray:
     """Full unitary: column j is the circuit applied to basis state |j>."""
-    if circuit.num_qubits > cap:
-        raise ResourceLimitError(
-            f"unitary of {circuit.num_qubits} qubits exceeds cap {cap}")
+    check_dense(circuit.num_qubits, circuit.num_qubits, "circuit unitary")
     dim = 1 << circuit.num_qubits
     return apply_circuit(circuit, np.eye(dim, dtype=complex))

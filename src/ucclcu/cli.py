@@ -81,7 +81,9 @@ def _factor_from(args, theta: float) -> UccFactor:
         if args.occ is None or args.virt is None:
             raise ValueError("--occ and --virt are required")
         occ, virt = args.occ, args.virt
-    nq = args.n_qubits if args.n_qubits is not None else max(occ + virt) + 1
+    # default=-1 leaves an empty list to UccFactor, which names the problem
+    nq = args.n_qubits if args.n_qubits is not None \
+        else max(occ + virt, default=-1) + 1
     return UccFactor(occ, virt, theta, nq)
 
 

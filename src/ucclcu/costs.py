@@ -11,7 +11,6 @@ same conventions to an emitted circuit, so the two can be compared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .circuit import Circuit, Gate
 from .fermion import UccFactor, excitation_pauli_sum
@@ -115,24 +114,6 @@ def synth_cascade(f: UccFactor) -> Circuit:
         for g in reversed(enter):
             circ.append(g.inverse())
     return circ
-
-
-@dataclass(frozen=True, slots=True)
-class CostReport:
-    rank: int
-    rho: tuple[int, ...]
-    prepare_cnots: int
-    select_cnots: int
-    reference_init_cnots: int
-    total_cnots: int
-    cascade_cnots: int
-
-
-def cost_report(n: int, rho=None) -> CostReport:
-    rho = tuple([0] * (2 * n - 2)) if rho is None else _check_rho(n, rho)
-    steps, init = select_cnot_counts(n, rho)
-    return CostReport(n, rho, prepare_cnot_count(n), steps, init,
-                      total_lcu_count(n, rho), cascade_count(n, rho))
 
 
 def emit_comparison(n_max: int, rho_fill: int = 0) -> list[tuple[int, int, int, int, int]]:

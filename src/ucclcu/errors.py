@@ -6,7 +6,7 @@ class DimensionError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Dense realization or simulation beyond the configured qubit cap."""
+    """A dense array larger than the dense cap (see pauli.check_dense)."""
 
 
 class AngleDomainError(ValueError):

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
-from .pauli import DENSE_QUBIT_CAP, PauliString, PauliSum, _bit
+from .pauli import PauliString, PauliSum, _bit, check_dense
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,20 +172,18 @@ def expm_taylor(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def exact_unitary(f: UccFactor, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+def exact_unitary(f: UccFactor) -> np.ndarray:
     """Dense exp(theta (A - A†)) via the Taylor exponential (the oracle route).
 
     E³ = -E makes exp(theta E) 2π-periodic in theta, so |theta| > π is first
     reduced to atan2(sin theta, cos theta): the squarings that a large
     argument needs would otherwise compound rounding (1.7e-8 at theta = 1e8).
     """
-    if f.num_qubits > cap:
-        raise ResourceLimitError(
-            f"exact unitary on {f.num_qubits} qubits exceeds cap {cap}")
+    check_dense(f.num_qubits, f.num_qubits, "exact unitary")
     theta = f.theta
     if abs(theta) > math.pi:
         theta = math.atan2(math.sin(theta), math.cos(theta))
-    generator = theta * excitation_pauli_sum(f).to_dense(cap=cap)
+    generator = theta * excitation_pauli_sum(f).to_dense()
     return expm_taylor(generator)
 
 

@@ -1,5 +1,5 @@
-"""Assembly of the block encoding W = (B† ⊗ 1) · SELECT · (B ⊗ 1), postselected
-application, and exact multi-round oblivious amplitude amplification.
+"""Assembly of the block encoding W = (B† ⊗ 1) · SELECT · (B ⊗ 1), its
+ancilla-zero block, and exact multi-round oblivious amplitude amplification.
 
 Wire layout: main ancilla code wires 0..2n-1 (wire 0 = sector), then the pad
 wire 2n when padding is engaged, then the system register.
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Gate, apply_circuit
-from .errors import DimensionError
 from .fermion import UccFactor, exact_unitary
+from .pauli import check_dense
 from .prepare import lcu_coefficients, synth_prepare
 from .select import SelectPlan, derive_select_plan, synth_select
 
@@ -81,7 +81,7 @@ def assemble_w(f: UccFactor, plan: SelectPlan | None = None,
     return circ
 
 
-def reflection_on_ancilla(num_ancilla: int, width: int) -> list[Gate]:
+def reflection_on_ancilla(num_ancilla: int) -> list[Gate]:
     """R = 1 - 2|0..0><0..0| on the ancilla block, as X · (anticontrolled
     PHASE(pi)) · X on wire 0."""
     controls = tuple((q, "-") for q in range(1, num_ancilla))
@@ -112,35 +112,27 @@ class LcuAssembly:
         return self.num_ancilla + self.factor.num_qubits
 
 
-def pad_and_synth_oaa(f: UccFactor, target_rounds: int | None = None) -> LcuAssembly:
+def pad_and_synth_oaa(f: UccFactor) -> LcuAssembly:
     """Pad the one-norm to the nearest exact-amplification value and emit the
     m-round amplification circuit -W R W† R ... W.
 
-    Rounds default to the smallest m with s_m >= s (up to 1e-12 slack; if s
+    The rounds are the smallest m with s_m >= s (up to 1e-12 slack; if s
     overshoots s_m by float dust the next m is taken so the protocol stays
-    exact).  With target_rounds given, s_m(target) must be reachable, i.e.
-    >= s.
+    exact).
     """
     plan = derive_select_plan(f)
     s = lcu_coefficients(f.rank, f.theta).s_one_norm
-    if target_rounds is None:
-        m = 0
-        while exact_amplification_one_norm(m) < s - 1e-12:
-            m += 1
-        if exact_amplification_one_norm(m) < s:
-            m += 1  # s beat s_m by float dust; padding keeps exactness
-    else:
-        m = int(target_rounds)
-        if exact_amplification_one_norm(m) < s - 1e-12:
-            raise ValueError(
-                f"{m} rounds are exact at one-norm {exact_amplification_one_norm(m):.6f}"
-                f" < s = {s:.6f}; padding can only raise the one-norm")
+    m = 0
+    while exact_amplification_one_norm(m) < s - 1e-12:
+        m += 1
+    if exact_amplification_one_norm(m) < s:
+        m += 1  # s beat s_m by float dust; padding keeps exactness
     s_m = exact_amplification_one_norm(m)
     w = assemble_w(f, plan, s_target=s_m)
 
     oaa = Circuit(w.num_qubits, list(w.gates), w.num_ancilla)
     if m > 0:
-        reflect = reflection_on_ancilla(w.num_ancilla, w.num_qubits)
+        reflect = reflection_on_ancilla(w.num_ancilla)
         w_dag = w.compose_adjoint()
         for _ in range(m):
             oaa.extend(reflect)
@@ -157,30 +149,10 @@ def pad_and_synth_oaa(f: UccFactor, target_rounds: int | None = None) -> LcuAsse
                        w, oaa)
 
 
-def apply_postselected(w: Circuit, psi: np.ndarray) -> tuple[np.ndarray, float]:
-    """Apply W to |0>_anc ⊗ psi, project the ancilla onto |0>, renormalize.
-
-    Returns (postselected system state, success probability).  A vanishing
-    projection flags a synthesis bug and raises.
-    """
-    num_sys = w.num_qubits - w.num_ancilla
-    dim_sys = 1 << num_sys
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (dim_sys,):
-        raise DimensionError(f"state must have dimension {dim_sys}")
-    full = np.zeros(1 << w.num_qubits, dtype=complex)
-    full[:dim_sys] = psi
-    out = apply_circuit(w, full).reshape(-1, dim_sys)
-    block = out[0]
-    probability = float(np.linalg.norm(block) ** 2)
-    if probability < 1e-12:
-        raise RuntimeError("postselection probability ~ 0; synthesis bug")
-    return block / math.sqrt(probability), probability
-
-
 def ancilla_zero_block(circuit: Circuit) -> tuple[np.ndarray, float]:
     """(⟨0|_anc C |0⟩_anc as a system matrix, spectral norm of the leakage)."""
     num_sys = circuit.num_qubits - circuit.num_ancilla
+    check_dense(circuit.num_qubits, num_sys, "ancilla-zero column batch")
     dim_sys = 1 << num_sys
     cols = np.zeros((1 << circuit.num_qubits, dim_sys), dtype=complex)
     cols[:dim_sys] = np.eye(dim_sys)

@@ -11,6 +11,10 @@ mask arithmetic, and the planner can reason about strings as GF(2) vectors.
 
 Qubit 0 is the *leftmost* letter in renderings and the most significant bit
 in mask/basis indexing throughout the package.
+
+Every dense array the package builds (a Pauli matrix, an exact or circuit
+unitary, a batch of basis columns) is first sized by `check_dense`, the one
+place the dense cap is enforced.
 """
 
 from __future__ import annotations
@@ -22,11 +26,24 @@ import numpy as np
 
 from .errors import DimensionError, ResourceLimitError
 
-# Dense realizations refuse to build beyond this width unless overridden.
+# Dense arrays hold at most as many entries as a DENSE_QUBIT_CAP-qubit unitary.
 DENSE_QUBIT_CAP = 14
 
 _LETTER_FROM_BITS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _BITS_FROM_LETTER = {v: k for k, v in _LETTER_FROM_BITS.items()}
+
+
+def check_dense(row_qubits: int, col_qubits: int, what: str) -> None:
+    """Refuse a dense (2^row_qubits, 2^col_qubits) array beyond the cap.
+
+    The bound is on the entry count, 2^(2 * DENSE_QUBIT_CAP): a square unitary
+    may have DENSE_QUBIT_CAP qubits, and a tall column batch may trade columns
+    for rows.  Callers check before they allocate anything.
+    """
+    if row_qubits + col_qubits > 2 * DENSE_QUBIT_CAP:
+        raise ResourceLimitError(
+            f"dense {what} of 2^{row_qubits} x 2^{col_qubits} entries exceeds "
+            f"the cap of a {DENSE_QUBIT_CAP}-qubit unitary")
 
 
 def _bit(num_qubits: int, qubit: int) -> int:
@@ -169,23 +186,9 @@ class PauliString:
                            (-self.phase_power) % 4)
 
     # ------------------------------------------------------------------ dense
-    def to_dense(self, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
-        """Dense 2^n x 2^n realization.
-
-        Built by index arithmetic rather than Kronecker products: the word has
-        one nonzero per column, out[j ^ xbits, j] = i^{k + #Y} (-1)^{|j & zbits|}.
-        """
-        if self.num_qubits > cap:
-            raise ResourceLimitError(
-                f"dense realization of {self.num_qubits} qubits exceeds cap {cap}")
-        dim = 1 << self.num_qubits
-        cols = np.arange(dim)
-        rows = cols ^ self.x_mask
-        signs = 1.0 - 2.0 * _parity(cols & self.z_mask)
-        unit = 1j ** ((self.phase_power + (self.x_mask & self.z_mask).bit_count()) % 4)
-        out = np.zeros((dim, dim), dtype=complex)
-        out[rows, cols] = unit * signs
-        return out
+    def to_dense(self) -> np.ndarray:
+        """Dense 2^n x 2^n realization, phase included."""
+        return PauliSum(self.num_qubits, [(self, 1.0)]).to_dense()
 
     # ------------------------------------------------------------------- misc
     def __str__(self) -> str:
@@ -288,10 +291,13 @@ class PauliSum:
         return float(sum(abs(c) for c in self._terms.values()))
 
     # ------------------------------------------------------------------ dense
-    def to_dense(self, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
-        if self.num_qubits > cap:
-            raise ResourceLimitError(
-                f"dense realization of {self.num_qubits} qubits exceeds cap {cap}")
+    def to_dense(self) -> np.ndarray:
+        """Dense 2^n x 2^n realization.
+
+        Built by index arithmetic rather than Kronecker products: each word
+        has one nonzero per column, out[j ^ x, j] = i^{#Y} (-1)^{|j & z|}.
+        """
+        check_dense(self.num_qubits, self.num_qubits, "Pauli sum")
         dim = 1 << self.num_qubits
         out = np.zeros((dim, dim), dtype=complex)
         cols = np.arange(dim)
@@ -306,21 +312,3 @@ class PauliSum:
         parts = [f"({c:.12g}) {PauliString(self.num_qubits, x, z).letters}"
                  for (x, z), c in sorted(self._terms.items())]
         return " + ".join(parts) if parts else "0"
-
-
-# Module-level forms of the core operations (thin wrappers over the methods).
-
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    return a.multiply(b)
-
-
-def commutes(a: PauliString, b: PauliString) -> bool:
-    return a.commutes(b)
-
-
-def to_dense(s: PauliSum, num_qubits: int | None = None,
-             cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
-    if num_qubits is not None and num_qubits != s.num_qubits:
-        raise DimensionError(
-            f"requested width {num_qubits} differs from sum width {s.num_qubits}")
-    return s.to_dense(cap=cap)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate, apply_circuit
 from .errors import AngleDomainError
+from .pauli import check_dense
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,26 +67,13 @@ def lcu_coefficients(n: int, theta: float) -> LcuCoefficients:
     return LcuCoefficients(n, theta, identity, projector, excitation, s)
 
 
-@dataclass(frozen=True, slots=True)
-class PrepareAngles:
-    """Analytic rotation angles Theta_1..Theta_2n (radians)."""
-
-    values: tuple[float, ...]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-
 def _checked_arcsin(arg: float, where: str) -> float:
     if abs(arg) > 1.0 + 1e-12:
         raise AngleDomainError(f"arcsin argument {arg!r} out of [-1,1] in {where}")
     return math.asin(max(-1.0, min(1.0, arg)))
 
 
-def prepare_angles(n: int, theta: float) -> PrepareAngles:
+def prepare_angles(n: int, theta: float) -> tuple[float, ...]:
     """Closed-form analytic angles for the level structure.
 
     Theta_1 = arcsin(-sin(theta) / sqrt(2^{2n-1}));
@@ -104,7 +92,7 @@ def prepare_angles(n: int, theta: float) -> PrepareAngles:
         denom = (2.0 ** (2 * n - 2 + k) - 2.0 ** k + 2.0
                  + 2.0 * cos_t * cos_t + (2.0 ** k - 4.0) * cos_t)
         out.append(_checked_arcsin((cos_t - 1.0) / math.sqrt(denom), f"level {k}"))
-    return PrepareAngles(tuple(out))
+    return tuple(out)
 
 
 def prepare_target_amplitudes(n: int, theta: float,
@@ -187,18 +175,18 @@ def synth_prepare(n: int, theta: float, identity_offset: float = 0.0) -> Circuit
 class PrepareReport:
     """max_deviation of the loaded |amplitudes| from sqrt(|alpha|/s).
 
-    used_fallback (always False) and fallback_deviation (always None) remain
-    for readers of the report; there is no fallback loader.
+    used_fallback (always False) remains for readers of the report; there is
+    no fallback loader.
     """
 
     max_deviation: float
     used_fallback: bool = False
-    fallback_deviation: float | None = None
 
 
 def verify_prepare(n: int, theta: float) -> PrepareReport:
     """Compare |amplitudes| of the synthesized loader with the sqrt(|alpha|/s)
     target."""
+    check_dense(2 * n, 0, "loader state")
     target = np.array(prepare_target_amplitudes(n, theta))
     init = np.zeros(1 << (2 * n), dtype=complex)
     init[0] = 1.0

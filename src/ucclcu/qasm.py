@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .circuit import Circuit, Gate, apply_circuit
+from .circuit import Circuit, Gate, unitary_of
 
 # Uncontrolled gates that, applied before a Z (and inverted after it), give
 # the keyed kind.  Listed in circuit order.
@@ -87,8 +87,7 @@ def lower_controls(circuit: Circuit) -> list[Gate]:
 
 def lowered_unitary(num_qubits: int, ops: list[Gate]) -> np.ndarray:
     """Dense unitary of a lowered gate list (for equivalence checking)."""
-    return apply_circuit(Circuit(num_qubits, list(ops)),
-                         np.eye(1 << num_qubits, dtype=complex))
+    return unitary_of(Circuit(num_qubits, list(ops)))
 
 
 # ------------------------------------------------------------------ emission

@@ -41,7 +41,7 @@ from .circuit import Circuit, Gate, apply_circuit
 from .errors import PlanningError
 from .fermion import (UccFactor, chain_qubits, excitation_pauli_sum,
                       projector_pauli_sum)
-from .pauli import PauliString
+from .pauli import PauliString, check_dense
 
 _UNIT_LABELS = {(1, 0): "+1", (-1, 0): "-1", (0, 1): "+i", (0, -1): "-i"}
 _Z4_UNITS = (1, 1j, -1, -1j)
@@ -323,6 +323,7 @@ def verify_select(f: UccFactor, plan: SelectPlan | None = None,
                   tolerance: float = 1e-10) -> SelectReport:
     """Check that every ancilla basis code induces exactly its code_table
     string (target phase included) and leaves the ancilla untouched."""
+    check_dense(2 * f.rank + f.num_qubits, f.num_qubits, "per-code column batch")
     if plan is None:
         plan = derive_select_plan(f)
     if circuit is None:

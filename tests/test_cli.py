@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -248,6 +249,34 @@ class TestErrorsAndMeta:
         code, _, err = run(capsys, "expand", "--rank", "0",
                            "--theta", "0.1")
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("plan", "--rank", "0"),
+        ("expand", "--rank", "0", "--theta", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_rank_zero_names_the_empty_lists(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "nonempty" in err
+
+    def test_over_cap_verify_exits_two(self):
+        # the rank-5 OAA block is 2^21 x 2^10 complex entries (32 GiB); the
+        # address-space limit turns any attempt at it into a crash, not a pass
+        def limit_child():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            soft = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+        src = str(Path(ucclcu.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ucclcu", "verify", "--rank", "5",
+             "--theta", "0.5"],
+            env=dict(os.environ, PYTHONPATH=path), preexec_fn=limit_child,
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "exceeds the cap" in proc.stderr
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

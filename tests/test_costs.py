@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ucclcu.costs import (CSV_HEADER, cascade_count, comparison_csv,
-                          cost_report, emit_comparison, prepare_cnot_count,
+                          emit_comparison, prepare_cnot_count,
                           realized_cnot_count, select_cnot_counts,
                           synth_cascade, total_lcu_count)
 from ucclcu.fermion import UccFactor, chain_qubits, exact_unitary
@@ -171,14 +171,6 @@ class TestCascadeSynthesis:
 
 
 class TestReportsAndCsv:
-    def test_cost_report_fields(self):
-        rep = cost_report(2)
-        assert rep.rank == 2
-        assert rep.prepare_cnots == 76
-        assert rep.total_cnots == 498
-        assert rep.cascade_cnots == 48
-        assert rep.select_cnots + rep.reference_init_cnots == 14
-
     def test_emit_rows(self):
         rows = emit_comparison(3)
         assert rows[1] == (2, 48, 498, 76, 14)

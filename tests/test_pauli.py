@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucclcu.errors import DimensionError, ResourceLimitError
-from ucclcu.pauli import PauliString, PauliSum, commutes, multiply, to_dense
+from ucclcu.pauli import DENSE_QUBIT_CAP, PauliString, PauliSum, check_dense
 
 from oracles import kron_pauli
 
@@ -17,19 +17,19 @@ def random_label(draw_len=4):
 
 class TestMultiply:
     def test_x_times_x_is_identity(self):
-        p = multiply(PauliString.from_label("X"), PauliString.from_label("X"))
+        p = PauliString.from_label("X").multiply(PauliString.from_label("X"))
         assert p.letters == "I"
         assert p.phase == 1
 
     def test_x_times_y_is_iz(self):
-        p = multiply(PauliString.from_label("X"), PauliString.from_label("Y"))
+        p = PauliString.from_label("X").multiply(PauliString.from_label("Y"))
         assert p.letters == "Z"
         assert p.phase_power == 1
         assert p.phase == 1j
 
     def test_yx_times_zz(self):
         # (Y⊗X)(Z⊗Z) = X⊗Y with no leftover phase
-        p = multiply(PauliString.from_label("YX"), PauliString.from_label("ZZ"))
+        p = PauliString.from_label("YX").multiply(PauliString.from_label("ZZ"))
         assert p.letters == "XY"
         assert p.phase_power == 0
         dense = kron_pauli("YX") @ kron_pauli("ZZ")
@@ -38,20 +38,20 @@ class TestMultiply:
     @pytest.mark.parametrize("a,b", [("XZIY", "YYZI"), ("ZZZZ", "XXXX"),
                                      ("IYXZ", "ZIYX")])
     def test_matches_dense_product(self, a, b):
-        p = multiply(PauliString.from_label(a), PauliString.from_label(b))
+        p = PauliString.from_label(a).multiply(PauliString.from_label(b))
         np.testing.assert_allclose(p.to_dense(), kron_pauli(a) @ kron_pauli(b),
                                    atol=1e-14)
 
     def test_width_mismatch_raises(self):
         with pytest.raises(DimensionError):
-            multiply(PauliString.from_label("X"), PauliString.from_label("XX"))
+            PauliString.from_label("X").multiply(PauliString.from_label("XX"))
 
     @given(random_label(), random_label())
     @settings(max_examples=60, deadline=None)
     def test_product_dense_property(self, a, b):
         n = min(len(a), len(b))
         a, b = a[:n], b[:n]
-        p = multiply(PauliString.from_label(a), PauliString.from_label(b))
+        p = PauliString.from_label(a).multiply(PauliString.from_label(b))
         np.testing.assert_allclose(p.to_dense(), kron_pauli(a) @ kron_pauli(b),
                                    atol=1e-13)
 
@@ -60,8 +60,8 @@ class TestMultiply:
     def test_associativity(self, a, b, c):
         n = min(len(a), len(b), len(c))
         pa, pb, pc = (PauliString.from_label(s[:n]) for s in (a, b, c))
-        left = multiply(multiply(pa, pb), pc)
-        right = multiply(pa, multiply(pb, pc))
+        left = pa.multiply(pb).multiply(pc)
+        right = pa.multiply(pb.multiply(pc))
         assert left.key() == right.key()
         assert left.phase_power == right.phase_power
 
@@ -72,8 +72,8 @@ class TestCommutes:
         ("XYZ", "YZX", False), ("XI", "ZI", False), ("XZIY", "YYZI", True),
     ])
     def test_examples(self, a, b, expect):
-        assert commutes(PauliString.from_label(a),
-                        PauliString.from_label(b)) is expect
+        assert PauliString.from_label(a).commutes(
+            PauliString.from_label(b)) is expect
 
     @given(random_label(), random_label())
     @settings(max_examples=60, deadline=None)
@@ -82,8 +82,8 @@ class TestCommutes:
         a, b = a[:n], b[:n]
         da, db = kron_pauli(a), kron_pauli(b)
         dense_says = np.allclose(da @ db, db @ da, atol=1e-12)
-        assert commutes(PauliString.from_label(a),
-                        PauliString.from_label(b)) is dense_says
+        assert PauliString.from_label(a).commutes(
+            PauliString.from_label(b)) is dense_says
 
 
 class TestPauliString:
@@ -123,6 +123,14 @@ class TestPauliString:
     def test_dense_cap(self):
         with pytest.raises(ResourceLimitError):
             PauliString.identity(15).to_dense()
+
+    def test_check_dense_bounds_the_entry_count(self):
+        cap = DENSE_QUBIT_CAP
+        check_dense(cap, cap, "square")          # a cap-qubit unitary fits
+        check_dense(2 * cap - 10, 10, "tall")    # so does a tall batch as large
+        for rows, cols in ((cap + 1, cap), (21, 10)):
+            with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+                check_dense(rows, cols, "array")
 
 
 class TestPauliSum:
@@ -178,7 +186,3 @@ class TestPauliSum:
         keys = [p.key() for p, _ in s.terms()]
         assert keys == sorted(keys)
         assert all(p.phase_power == 0 for p, _ in s.terms())
-
-    def test_to_dense_width_guard(self):
-        with pytest.raises(DimensionError):
-            to_dense(PauliSum.identity(2), num_qubits=3)

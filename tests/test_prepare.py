@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ucclcu.circuit import apply_circuit
-from ucclcu.errors import AngleDomainError
+from ucclcu.errors import AngleDomainError, ResourceLimitError
 from ucclcu.fermion import UccFactor, ucc_factor_expand
 from ucclcu.prepare import (_loader, lcu_coefficients, prepare_angles,
                             prepare_target_amplitudes, synth_prepare,
@@ -67,14 +67,14 @@ class TestAngles:
     def test_frozen_level1_rank2_half_pi(self):
         # arcsin(-sin(pi/2)/sqrt(8)) = arcsin(-1/(2*sqrt(2)))
         angles = prepare_angles(2, math.pi / 2)
-        assert angles.values[0] == pytest.approx(math.asin(-1 / math.sqrt(8)),
+        assert angles[0] == pytest.approx(math.asin(-1 / math.sqrt(8)),
                                                  abs=1e-15)
-        assert angles.values[0] == pytest.approx(-0.361367, abs=1e-6)
+        assert angles[0] == pytest.approx(-0.361367, abs=1e-6)
 
     def test_frozen_level2_rank2_pi(self):
         # theta=pi: denominator 16, arcsin(-2/4) = -pi/6
         angles = prepare_angles(2, math.pi)
-        assert angles.values[1] == pytest.approx(-math.pi / 6, abs=1e-15)
+        assert angles[1] == pytest.approx(-math.pi / 6, abs=1e-15)
 
     def test_count_is_two_n(self):
         for n in (1, 2, 3):
@@ -84,7 +84,7 @@ class TestAngles:
         # D_2 = 14 + 2cos^2, D_3 = 26 + 2cos^2 + 4cos, D_4 = 50 + 2cos^2 + 12cos
         theta = 0.9
         ct = math.cos(theta)
-        angles = prepare_angles(2, theta).values
+        angles = prepare_angles(2, theta)
         for k, denom in ((2, 14 + 2 * ct * ct), (3, 26 + 2 * ct * ct + 4 * ct),
                          (4, 50 + 2 * ct * ct + 12 * ct)):
             assert angles[k - 1] == pytest.approx(
@@ -175,6 +175,11 @@ class TestVerifyAndFallback:
         # rank 1 at odd multiples of pi: the identity code's target is 0, and
         # a remainder taken by subtraction left 1.49e-8 on it
         assert verify_prepare(1, theta).max_deviation <= 1e-12
+
+    def test_oversized_loader_state_refused(self):
+        # rank 15: a 2^30-entry state, refused before any synthesis
+        with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+            verify_prepare(15, 0.7)
 
 
 class TestAngleDomain:

@@ -3,11 +3,12 @@
 import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ucclcu.errors import PlanningError
+from ucclcu.errors import PlanningError, ResourceLimitError
 from ucclcu.fermion import (UccFactor, chain_qubits, excitation_pauli_sum,
                             projector_pauli_sum)
 from ucclcu.select import (code_phase_targets, derive_select_plan,
@@ -240,6 +241,20 @@ FIXUP_LAYOUTS = [
     ((0, 1, 2, 3, 4, 5), (6, 7, 8, 9, 10, 11), 12),
 ]
 FIXUP_THETAS = [0.0, 1e-20, math.pi, -math.pi, 2 * math.pi, 0.7, -2.5]
+
+
+class TestDenseGuard:
+    def test_rank5_batch_refused_before_allocating(self):
+        # each code's batch would be 2^20 x 2^10 complex entries (16 GiB)
+        f = UccFactor(tuple(range(5)), tuple(range(5, 10)), 0.5, 10)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+                verify_select(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestPhasePolynomial:

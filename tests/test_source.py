@@ -16,3 +16,9 @@ def test_no_bare_assert_in_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_every_exported_name_resolves():
+    """A name deleted from the package must leave `__all__` too."""
+    missing = [name for name in ucclcu.__all__ if not hasattr(ucclcu, name)]
+    assert not missing, missing
