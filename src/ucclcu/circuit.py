@@ -158,9 +158,6 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def __iter__(self):
-        return iter(self.gates)
-
     def compose_adjoint(self) -> "Circuit":
         """Reversed gate order with every gate inverted."""
         return Circuit(self.num_qubits,

@@ -55,11 +55,9 @@ def _fmt_complex(c: complex) -> str:
     return f"{c.real:.17g}{c.imag:+.17g}j"
 
 
-def _add_factor_args(p: argparse.ArgumentParser, with_theta: bool = True,
-                     with_rank: bool = False):
-    if with_rank:
-        p.add_argument("--rank", type=int, default=None,
-                       help="shorthand: occ=0..n-1, virt=n..2n-1 on 2n qubits")
+def _add_factor_args(p: argparse.ArgumentParser, with_theta: bool = True):
+    p.add_argument("--rank", type=int, default=None,
+                   help="shorthand: occ=0..n-1, virt=n..2n-1 on 2n qubits")
     p.add_argument("--occ", type=_int_list, default=None,
                    help="occupied spin-orbitals, ascending, comma-separated")
     p.add_argument("--virt", type=_int_list, default=None,
@@ -72,7 +70,7 @@ def _add_factor_args(p: argparse.ArgumentParser, with_theta: bool = True,
 
 
 def _factor_from(args, theta: float) -> UccFactor:
-    if getattr(args, "rank", None) is not None:
+    if args.rank is not None:
         if args.occ is not None or args.virt is not None:
             raise ValueError("--rank replaces --occ/--virt; give one or the other")
         n = args.rank
@@ -192,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("expand", help="print the factor's Pauli expansion")
-    _add_factor_args(p, with_rank=True)
+    _add_factor_args(p)
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("prepare-angles", help="print analytic loader angles")
@@ -201,21 +199,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_prepare_angles)
 
     p = sub.add_parser("plan", help="dump the SELECT plan as JSON")
-    _add_factor_args(p, with_theta=False, with_rank=True)
+    _add_factor_args(p, with_theta=False)
     p.add_argument("--out", default=None, help="write to file instead of stdout")
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("synth", help="emit a circuit as JSON (or QASM)")
     p.add_argument("--part", choices=("prepare", "select", "w", "oaa"),
                    required=True)
-    _add_factor_args(p, with_rank=True)
+    _add_factor_args(p)
     p.add_argument("--qasm", action="store_true",
                    help="OPENQASM 2.0 instead of circuit JSON")
     p.add_argument("--out", default=None, help="write to file instead of stdout")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("verify", help="end-to-end check over a theta grid")
-    _add_factor_args(p, with_theta=False, with_rank=True)
+    _add_factor_args(p, with_theta=False)
     p.add_argument("--theta", type=_float_list, required=True,
                    help="comma-separated theta grid (radians)")
     p.add_argument("--mode", choices=("postselect", "oaa"), default="oaa")

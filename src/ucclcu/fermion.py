@@ -104,7 +104,7 @@ def excitation_pauli_sum(f: UccFactor) -> PauliSum:
     """E = A - A†: exactly 2^{2n-1} mutually commuting strings with pure
     imaginary coefficients (the sin-sector structure constants)."""
     a = _excitation_product(f)
-    return (a - a.adjoint()).prune(0.0)
+    return (a - a.adjoint()).prune()
 
 
 def projector_pauli_sum(f: UccFactor) -> PauliSum:
@@ -131,7 +131,7 @@ def projector_pauli_sum(f: UccFactor) -> PauliSum:
         adag_a = adag_a * number(a, False)
     for i in f.occupied:
         adag_a = adag_a * number(i, True)
-    return (a_adag + adag_a).prune(0.0)
+    return (a_adag + adag_a).prune()
 
 
 def ucc_factor_expand(f: UccFactor) -> PauliSum:
@@ -145,7 +145,7 @@ def ucc_factor_expand(f: UccFactor) -> PauliSum:
     out = PauliSum.identity(f.num_qubits)
     out = out + np.sin(f.theta) * excitation_pauli_sum(f)
     out = out + (np.cos(f.theta) - 1.0) * projector_pauli_sum(f)
-    return out.prune(0.0)
+    return out.prune()
 
 
 def expm_taylor(matrix: np.ndarray) -> np.ndarray:

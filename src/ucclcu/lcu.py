@@ -24,7 +24,7 @@ from .circuit import Circuit, Gate, apply_circuit
 from .fermion import UccFactor, exact_unitary
 from .pauli import check_dense
 from .prepare import lcu_coefficients, synth_prepare
-from .select import SelectPlan, derive_select_plan, synth_select
+from .select import derive_select_plan, synth_select
 
 #: pad engages above this surplus; below it the s_m mismatch is float dust
 _PAD_THRESHOLD = 5e-13
@@ -43,8 +43,7 @@ def _pad_weight(s: float, s_target: float) -> float:
     return c if c > _PAD_THRESHOLD else 0.0
 
 
-def assemble_w(f: UccFactor, plan: SelectPlan | None = None,
-               s_target: float | None = None) -> Circuit:
+def assemble_w(f: UccFactor, s_target: float | None = None) -> Circuit:
     """W = (B† ⊗ 1) · SELECT · (B ⊗ 1) for one factor; the only W builder.
 
     With s_target above the one-norm s, the bank gains the pad wire 2n: an RY
@@ -61,7 +60,7 @@ def assemble_w(f: UccFactor, plan: SelectPlan | None = None,
     """
     n = f.rank
     na = 2 * n
-    plan = derive_select_plan(f) if plan is None else plan
+    plan = derive_select_plan(f)
     c = 0.0 if s_target is None else \
         _pad_weight(lcu_coefficients(n, f.theta).s_one_norm, s_target)
     pad = 1 if c else 0
@@ -94,8 +93,6 @@ def reflection_on_ancilla(num_ancilla: int) -> list[Gate]:
 class LcuAssembly:
     """Everything the verifier and the CLI need about one assembled factor."""
 
-    factor: UccFactor
-    plan: SelectPlan
     s_one_norm: float
     s_effective: float
     pad_qubits: int
@@ -103,32 +100,20 @@ class LcuAssembly:
     w_circuit: Circuit
     oaa_circuit: Circuit
 
-    @property
-    def num_ancilla(self) -> int:
-        return 2 * self.factor.rank + self.pad_qubits
-
-    @property
-    def total_qubits(self) -> int:
-        return self.num_ancilla + self.factor.num_qubits
-
 
 def pad_and_synth_oaa(f: UccFactor) -> LcuAssembly:
     """Pad the one-norm to the nearest exact-amplification value and emit the
     m-round amplification circuit -W R W† R ... W.
 
-    The rounds are the smallest m with s_m >= s (up to 1e-12 slack; if s
-    overshoots s_m by float dust the next m is taken so the protocol stays
-    exact).
+    The rounds are the smallest m with s_m >= s.  If s overshoots s_m by
+    float dust, the next m is taken and padding keeps the protocol exact.
     """
-    plan = derive_select_plan(f)
     s = lcu_coefficients(f.rank, f.theta).s_one_norm
     m = 0
-    while exact_amplification_one_norm(m) < s - 1e-12:
+    while exact_amplification_one_norm(m) < s:
         m += 1
-    if exact_amplification_one_norm(m) < s:
-        m += 1  # s beat s_m by float dust; padding keeps exactness
     s_m = exact_amplification_one_norm(m)
-    w = assemble_w(f, plan, s_target=s_m)
+    w = assemble_w(f, s_target=s_m)
 
     oaa = Circuit(w.num_qubits, list(w.gates), w.num_ancilla)
     if m > 0:
@@ -145,8 +130,7 @@ def pad_and_synth_oaa(f: UccFactor) -> LcuAssembly:
     if m and abs(s_eff - s_m) > 1e-12:
         raise RuntimeError(f"padded one-norm {s_eff!r} misses s_m = {s_m!r}; "
                            "synthesis bug")
-    return LcuAssembly(f, plan, s, s_eff, w.num_ancilla - 2 * f.rank, m,
-                       w, oaa)
+    return LcuAssembly(s, s_eff, w.num_ancilla - 2 * f.rank, m, w, oaa)
 
 
 def ancilla_zero_block(circuit: Circuit) -> tuple[np.ndarray, float]:
@@ -198,22 +182,27 @@ def verify_end_to_end(f: UccFactor, mode: str = "oaa",
     mode "postselect": unpadded W; deviation of s·⟨0|W|0⟩ from U after global
     phase alignment, plus the success-probability cross-check p = 1/s².
     mode "oaa": padded m-round amplification; the block itself must equal U
-    and the ancilla leakage must vanish, both within tolerance.
+    and the ancilla leakage must vanish, both within tolerance.  A block over
+    the dense cap is refused before the 2^N reference unitary is built.
     """
     if mode not in ("postselect", "oaa"):
         raise ValueError("mode must be 'postselect' or 'oaa'")
+    if mode == "postselect":
+        circuit = assemble_w(f)
+    else:
+        assembly = pad_and_synth_oaa(f)
+        circuit = assembly.oaa_circuit
+    check_dense(circuit.num_qubits, f.num_qubits, "ancilla-zero column batch")
     reference = exact_unitary(f)
+    block, leakage = ancilla_zero_block(circuit)
     if mode == "postselect":
         s = lcu_coefficients(f.rank, f.theta).s_one_norm
-        block, leakage = ancilla_zero_block(assemble_w(f))
         deviation, phi = phase_aligned_deviation(s * block, reference)
         probability = float(np.linalg.norm(block, 2) ** 2)
         prob_ok = abs(probability - 1.0 / (s * s)) <= 1e-9
         return EndToEndReport(f.theta, mode, s, s, 0, 0, deviation, leakage,
                               phi, probability, tolerance,
                               deviation <= tolerance and prob_ok)
-    assembly = pad_and_synth_oaa(f)
-    block, leakage = ancilla_zero_block(assembly.oaa_circuit)
     deviation, phi = phase_aligned_deviation(block, reference)
     return EndToEndReport(f.theta, mode, assembly.s_one_norm,
                           assembly.s_effective, assembly.oaa_rounds,

@@ -281,10 +281,10 @@ class PauliSum:
         out._terms = {k: c.conjugate() for k, c in self._terms.items()}
         return out
 
-    def prune(self, drop_tolerance: float = 0.0) -> "PauliSum":
-        """Remove terms with |coefficient| <= drop_tolerance (default: exact zeros)."""
+    def prune(self) -> "PauliSum":
+        """Remove the terms whose coefficient is exactly zero."""
         out = PauliSum(self.num_qubits)
-        out._terms = {k: c for k, c in self._terms.items() if abs(c) > drop_tolerance}
+        out._terms = {k: c for k, c in self._terms.items() if c != 0}
         return out
 
     def one_norm(self) -> float:

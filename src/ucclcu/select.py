@@ -20,12 +20,13 @@ subset products reach each sector's strings exactly once.
 Each code c then needs the diagonal phase u_c / i^{k_c}: u_c is the
 coefficient phase that PREPARE deliberately does not carry
 (coefficient/|coefficient|, defined as 1 for zero coefficients) and i^{k_c}
-the phase the mask products left behind.  Both are powers of i, so the
-fix-up is a Z4-valued function of the 2n code bits, synthesized as a phase
-polynomial (Amy, Maslov, Mosca, arXiv:1303.2042): a Moebius transform over
-the code bits gives one PHASE(g pi/2) per monomial, controlled on the
-monomial's other wires.  Within each sector the function is affine; only the
-identity code breaks that, and it gets one mixed-polarity phase of its own.
+the phase the mask products left behind.  The hidden SU(2) makes both
+powers of i, which the plan stores as Z4 exponents, so the fix-up is a
+Z4-valued function of the 2n code bits, synthesized as a phase polynomial
+(Amy, Maslov, Mosca, arXiv:1303.2042): a Moebius transform over the code
+bits gives one PHASE(g pi/2) per monomial, controlled on the monomial's
+other wires.  Within each sector the function is affine; only the identity
+code breaks that, and it gets one mixed-polarity phase of its own.
 At generic theta that is three gates (two at rank 1): S or S† on the sector
 wire, Z on wire 1 and PHASE(pi) with 2n-1 controls on the identity code.
 """
@@ -43,22 +44,9 @@ from .fermion import (UccFactor, chain_qubits, excitation_pauli_sum,
                       projector_pauli_sum)
 from .pauli import PauliString, check_dense
 
-_UNIT_LABELS = {(1, 0): "+1", (-1, 0): "-1", (0, 1): "+i", (0, -1): "-i"}
-_Z4_UNITS = (1, 1j, -1, -1j)
+#: JSON label of the unit i^p, indexed by the Z4 exponent p
+_POWER_LABELS = ("+1", "+i", "-1", "-i")
 _QUARTER_TURNS = {1: math.pi / 2, 2: math.pi, 3: -math.pi / 2}
-
-
-def _unit_label(u: complex) -> str:
-    return _UNIT_LABELS[(round(u.real), round(u.imag))]
-
-
-@dataclass(frozen=True, slots=True)
-class SelectStep:
-    """One controlled Z-mask application: two singly-controlled Z gates."""
-
-    wire: int                 # ancilla code wire carrying the control
-    polarity: str             # always "+" in this scheme
-    mask: PauliString         # Z-only string, weight <= 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,22 +55,24 @@ class CodeEntry:
 
     string: PauliString       # bare word (phase_power 0)
     phase_power: int          # i^k accumulated by the mask products
-    coeff_unit: complex       # theta-free unit of the term's coefficient
+    coeff_power: int          # theta-free coefficient unit is i^coeff_power
 
 
 @dataclass
 class SelectPlan:
+    """masks[w-1] is the Z mask fired by a positive control on code wire w;
+    wire 0 is the sector wire ("sector_qubit": 0, "polarity": "+" in JSON)."""
+
     rank: int
     num_qubits: int
     occupied: tuple[int, ...]
     virtuals: tuple[int, ...]
     chains: tuple[int, ...]
-    sector_qubit: int
     xy_reference: PauliString
     iz_reference: PauliString
-    steps: list[SelectStep]
+    masks: tuple[PauliString, ...]
     code_table: dict[int, CodeEntry] = field(repr=False)
-    identity_code: int = 0
+    identity_code: int
 
     @property
     def num_ancilla(self) -> int:
@@ -96,18 +86,17 @@ class SelectPlan:
             "occupied": list(self.occupied),
             "virtuals": list(self.virtuals),
             "chain_qubits": list(self.chains),
-            "sector_qubit": self.sector_qubit,
+            "sector_qubit": 0,
             "xy_reference": self.xy_reference.letters,
             "iz_reference": self.iz_reference.letters,
             "identity_code": format(self.identity_code, f"0{na}b"),
-            "steps": [{"wire": s.wire, "polarity": s.polarity,
-                       "mask": s.mask.letters} for s in self.steps],
+            "steps": [{"wire": wire, "polarity": "+", "mask": mask.letters}
+                      for wire, mask in enumerate(self.masks, start=1)],
             "code_table": [
                 {"code": format(code, f"0{na}b"),
                  "string": entry.string.letters,
-                 "phase": _UNIT_LABELS[{0: (1, 0), 1: (0, 1), 2: (-1, 0),
-                                        3: (0, -1)}[entry.phase_power]],
-                 "coeff_unit": _unit_label(entry.coeff_unit)}
+                 "phase": _POWER_LABELS[entry.phase_power],
+                 "coeff_unit": _POWER_LABELS[entry.coeff_power]}
                 for code, entry in sorted(self.code_table.items())],
         }
 
@@ -116,8 +105,8 @@ def derive_select_plan(f: UccFactor) -> SelectPlan:
     """Choose references and Z-masks and tabulate all 2^{2n} codes.
 
     The plan is verified internally against the symbolic expansion (sector
-    bijections, mask weights) before being returned; a failure raises
-    PlanningError carrying the offending string.
+    bijections, mask weights, units that are powers of i) before being
+    returned; a failure raises PlanningError carrying the offending string.
     """
     n, nq = f.rank, f.num_qubits
     na = 2 * n
@@ -131,41 +120,36 @@ def derive_select_plan(f: UccFactor) -> SelectPlan:
         for q in range(nq)))
     iz_ref = PauliString.z_on(nq, [occ[-1], vir[0]])
 
-    steps = [SelectStep(1, "+", PauliString.z_on(nq, [occ[-1], vir[0]]))]
-    wire = 2
-    for t in range(n - 1):
-        steps.append(SelectStep(wire, "+",
-                                PauliString.z_on(nq, [occ[t], occ[t + 1]])))
-        wire += 1
-    for t in range(n - 1):
-        steps.append(SelectStep(wire, "+",
-                                PauliString.z_on(nq, [vir[t], vir[t + 1]])))
-        wire += 1
-
-    for step in steps:
-        if step.mask.weight > 2 or step.mask.x_mask:
+    # edges of the path o_1 .. o_n - v_1 .. v_n, the sector flip (o_n, v_1) first
+    edges = [(occ[-1], vir[0])] + list(zip(occ, occ[1:])) + list(zip(vir, vir[1:]))
+    masks = tuple(PauliString.z_on(nq, edge) for edge in edges)
+    for mask in masks:
+        if mask.weight > 2 or mask.x_mask:
             raise PlanningError("step mask is not a weight-<=2 Z string",
-                                step.mask.letters)
+                                mask.letters)
 
     excitation = excitation_pauli_sum(f)
     projector = projector_pauli_sum(f)
 
     code_table: dict[int, CodeEntry] = {}
     identity_code = None
-    by_wire = {s.wire: s.mask for s in steps}
     for code in range(1 << na):
         sector = (code >> (na - 1)) & 1
         word = xy_ref if sector else iz_ref
         for w in range(na - 1, 0, -1):  # circuit time order; masks commute
             if (code >> (na - 1 - w)) & 1:
-                word = by_wire[w].multiply(word)
+                word = masks[w - 1].multiply(word)
         source = excitation if sector else projector
         coeff = source.coefficient(word.bare())
         if coeff == 0:
             raise PlanningError("code maps outside its sector's string set",
                                 word.bare().letters)
-        code_table[code] = CodeEntry(word.bare(), word.phase_power,
-                                     coeff / abs(coeff))
+        unit = coeff / abs(coeff)
+        powers = [p for p in range(4) if abs(unit - 1j ** p) <= 1e-12]
+        if not powers:
+            raise PlanningError(f"coefficient unit {unit!r} is not a power of i",
+                                word.bare().letters)
+        code_table[code] = CodeEntry(word.bare(), word.phase_power, powers[0])
         if word.bare().is_identity():
             identity_code = code
 
@@ -180,38 +164,24 @@ def derive_select_plan(f: UccFactor) -> SelectPlan:
 
     if identity_code is None:  # the diagonal sector always contains I
         raise PlanningError("no code maps to the identity string")
-    return SelectPlan(n, nq, tuple(occ), tuple(vir), chains, 0, xy_ref, iz_ref,
-                      steps, code_table, identity_code)
+    return SelectPlan(n, nq, tuple(occ), tuple(vir), chains, xy_ref, iz_ref,
+                      masks, code_table, identity_code)
 
 
-def code_phase_targets(f: UccFactor, plan: SelectPlan) -> dict[int, complex]:
-    """Target coefficient phase u_c per code (1 when the coefficient is 0)."""
+def code_phase_targets(f: UccFactor, plan: SelectPlan) -> dict[int, int]:
+    """Z4 power p_c of the coefficient unit i^p_c that code c must carry:
+    coeff_power, plus 2 where sin theta (excitation sector) or cos theta - 1
+    (diagonal sector) is negative; 0 for a zero coefficient and for the
+    identity code, whose coefficient 1 + (cos theta - 1)/2^{2n-1} is >= 0."""
     na = plan.num_ancilla
-    sin_sign = float(np.sign(math.sin(f.theta)))
-    cos_sign = float(np.sign(math.cos(f.theta) - 1.0))
+    sin_theta, cos_minus_one = math.sin(f.theta), math.cos(f.theta) - 1.0
     out = {}
     for code, entry in plan.code_table.items():
-        if (code >> (na - 1)) & 1:
-            u = entry.coeff_unit * sin_sign if sin_sign else 1.0
-        elif entry.string.is_identity():
-            u = 1.0  # identity coefficient 1 + (cos-1)/2^{2n-1} is >= 0
+        trig = sin_theta if (code >> (na - 1)) & 1 else cos_minus_one
+        if trig == 0.0 or code == plan.identity_code:
+            out[code] = 0
         else:
-            u = entry.coeff_unit * cos_sign if cos_sign else 1.0
-        out[code] = complex(u)
-    return out
-
-
-def _z4_exponents(f: UccFactor, plan: SelectPlan) -> np.ndarray:
-    """e_c with i^{e_c} = code_phase_targets[c] / i^{phase_power_c}, per code."""
-    targets = code_phase_targets(f, plan)
-    out = np.zeros(1 << plan.num_ancilla, dtype=np.int64)
-    for code, entry in plan.code_table.items():
-        phi = targets[code] / (1j ** entry.phase_power)
-        powers = [e for e, unit in enumerate(_Z4_UNITS) if abs(phi - unit) <= 1e-12]
-        if not powers:
-            raise PlanningError(f"code {code:0{plan.num_ancilla}b} needs phase "
-                                f"{phi!r}, not a power of i", entry.string.letters)
-        out[code] = powers[0]
+            out[code] = (entry.coeff_power + (2 if trig < 0 else 0)) % 4
     return out
 
 
@@ -239,7 +209,7 @@ def _phase_gate(bits: list[tuple[int, str]], power: int) -> Gate:
 
 
 def _phase_fixups(f: UccFactor, plan: SelectPlan) -> list[Gate]:
-    """Diagonal gates giving code c the phase code_phase_targets[c] / i^k_c.
+    """Diagonal gates giving code c the phase i^(p_c - phase_power_c).
 
     The Z4 exponent of each code is a polynomial over the 2n code bits
     (Amy, Maslov, Mosca, arXiv:1303.2042).  Within a sector it is affine, and
@@ -251,7 +221,10 @@ def _phase_fixups(f: UccFactor, plan: SelectPlan) -> list[Gate]:
     empty monomial is a GLOBALPHASE.
     """
     na = plan.num_ancilla
-    poly = _mobius_z4(_z4_exponents(f, plan), na)
+    targets = code_phase_targets(f, plan)
+    poly = _mobius_z4(np.array(
+        [(targets[code] - plan.code_table[code].phase_power) % 4
+         for code in range(1 << na)], dtype=np.int64), na)
     spike = np.zeros(1 << na, dtype=np.int64)
     spike[plan.identity_code] = 1
     spike = _mobius_z4(spike, na)
@@ -294,17 +267,16 @@ def synth_select(f: UccFactor, plan: SelectPlan | None = None,
         raise ValueError("system register overlaps the ancilla bank")
     circ = Circuit(off + nq, num_ancilla=off)
 
-    sector = plan.sector_qubit
     for q in plan.chains:
-        circ.append(Gate("Z", (off + q,), controls=((sector, "+"),)))
+        circ.append(Gate("Z", (off + q,), controls=((0, "+"),)))
     for q in sorted(set(plan.occupied) | set(plan.virtuals)):
         kind = plan.xy_reference.letters[q]
-        circ.append(Gate(kind, (off + q,), controls=((sector, "+"),)))
+        circ.append(Gate(kind, (off + q,), controls=((0, "+"),)))
     for q in sorted(plan.iz_reference.support()):
-        circ.append(Gate("Z", (off + q,), controls=((sector, "-"),)))
-    for step in sorted(plan.steps, key=lambda s: -s.wire):
-        for q in sorted(step.mask.support()):
-            circ.append(Gate("Z", (off + q,), controls=((step.wire, step.polarity),)))
+        circ.append(Gate("Z", (off + q,), controls=((0, "-"),)))
+    for wire in range(na - 1, 0, -1):
+        for q in sorted(plan.masks[wire - 1].support()):
+            circ.append(Gate("Z", (off + q,), controls=((wire, "+"),)))
 
     circ.extend(_phase_fixups(f, plan))
     return circ
@@ -314,13 +286,11 @@ def synth_select(f: UccFactor, plan: SelectPlan | None = None,
 class SelectReport:
     max_deviation: float
     worst_code: int
-    tolerance: float
-    passed: bool
+    passed: bool          # max_deviation <= 1e-10
 
 
 def verify_select(f: UccFactor, plan: SelectPlan | None = None,
-                  circuit: Circuit | None = None,
-                  tolerance: float = 1e-10) -> SelectReport:
+                  circuit: Circuit | None = None) -> SelectReport:
     """Check that every ancilla basis code induces exactly its code_table
     string (target phase included) and leaves the ancilla untouched."""
     check_dense(2 * f.rank + f.num_qubits, f.num_qubits, "per-code column batch")
@@ -333,14 +303,12 @@ def verify_select(f: UccFactor, plan: SelectPlan | None = None,
     targets = code_phase_targets(f, plan)
     worst, worst_code = 0.0, 0
     for code in sorted(plan.code_table):
-        entry = plan.code_table[code]
+        block = slice(code * dim_sys, (code + 1) * dim_sys)
         cols = np.zeros((1 << (na + nq), dim_sys), dtype=complex)
-        cols[code * dim_sys:(code + 1) * dim_sys] = np.eye(dim_sys)
+        cols[block] = np.eye(dim_sys)
         out = apply_circuit(circuit, cols)
-        expected = np.zeros_like(cols)
-        expected[code * dim_sys:(code + 1) * dim_sys] = \
-            targets[code] * entry.string.to_dense()
-        deviation = float(np.linalg.norm(out - expected, 2))
+        out[block] -= 1j ** targets[code] * plan.code_table[code].string.to_dense()
+        deviation = float(np.linalg.norm(out, 2))
         if deviation > worst:
             worst, worst_code = deviation, code
-    return SelectReport(worst, worst_code, tolerance, worst <= tolerance)
+    return SelectReport(worst, worst_code, worst <= 1e-10)

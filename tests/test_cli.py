@@ -1,5 +1,6 @@
 """Command-line interface: parsing, outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -221,6 +222,65 @@ class TestCrossProcessDeterminism:
         assert outputs[0] and outputs[0] == outputs[1]
 
 
+LAYOUT = "--occ 0,2 --virt 3,5 --n-qubits 7"
+
+# SHA-256 of stdout; these artifacts hold only integers and the angles pi/2^k
+PINNED_DIGESTS = {
+    "plan --rank 1":
+        "8c67c3e928a33a3f34821fad06b563e7289011ba40bc8632dbb845cee6376599",
+    "plan --rank 2":
+        "ce0d00ec9d2902e3da9b6a2bcfa4a51a71529d316fe7be29be4ae527335350e4",
+    "plan --rank 3":
+        "1fcc2b716db3076facc126e51a74228b87eb6cb90151d57ebf91eed7d51c9fa0",
+    f"plan {LAYOUT}":
+        "494b63fa5e1f9c6b94cfb3fe60a0fb3a6fb16e3001783b974715a150cb4880e5",
+    "synth --part select --rank 2 --theta 0":
+        "bb272d823a3904de6336e8ee8b186c807596d694c52186c77b29cf96f652d19f",
+    "synth --part select --rank 2 --theta 0 --qasm":
+        "3eaafea8c6397038e4bc562fc43ff67f96010e2527acbc74ef771a239b40a064",
+    "synth --part select --rank 2 --theta 0.7":
+        "abd7bec5c4d62b1473c4427016ed623304f3c0780740fffd7721d1e0ef1570d0",
+    "synth --part select --rank 2 --theta 0.7 --qasm":
+        "f6bbec60ec4f934d68392d7751b81de9c3e6abc93a3044b9e421d1b139d0eac0",
+    "synth --part select --rank 2 --theta -2.5":
+        "315a37dcb3a0aac5ba768610e55cfda6f961bdb41645f5b679ccf05d30f549bd",
+    "synth --part select --rank 2 --theta -2.5 --qasm":
+        "2e762cb2124fef6407412e8e1ed45514b49a246cbcde288ffc2d2831b350e661",
+    f"synth --part select {LAYOUT} --theta 0":
+        "4721744c163c59f74cf584375f366b9f803dab5b1a4f7b19ac7a7db7c00cc3c9",
+    f"synth --part select {LAYOUT} --theta 0 --qasm":
+        "6e75f16c0795571390454bf2df7df4f87e33add31bc4d21c0b032dd85dc7e8e7",
+    f"synth --part select {LAYOUT} --theta 0.7":
+        "0f2673ff754097d1326de9015c109cfd0621f6c8333f591ddc09f9f7969ae3fd",
+    f"synth --part select {LAYOUT} --theta 0.7 --qasm":
+        "728528634a9e031f63dce9050d84a216128e1365b7956c2b5a419755f888c1c5",
+    f"synth --part select {LAYOUT} --theta -2.5":
+        "78c29e0787a8c04bb02f8ed51f2bb628803468e302ebc7aa54e13b1a09d98ae0",
+    f"synth --part select {LAYOUT} --theta -2.5 --qasm":
+        "5f1c8258466d8eddcb2bd5ae4ac67c1fd1e65bda41d4e17c981ba1143a5b0ffa",
+    "count --rank-max 8 --rho 0":
+        "fbe2b86a798f47574fa5ba02bd356f41110037b01347b7517e991a39517ece9b",
+    "count --rank-max 8 --rho 1":
+        "750972e3ccabf4cb1b38d50d43c5ea21b003f316ebbb4b74e0bba92d03d91c4c",
+}
+
+
+class TestPinnedBytes:
+    """Exact bytes of the artifacts that no libm or SIMD difference can move.
+
+    `plan`, `synth --part select` and `count` print only integers and the
+    constant angles pi/2^k; `expand` and `verify` print computed floats and
+    are left out.  A deliberate change to these bytes updates the digests
+    here and says in CHANGES.md why the bytes changed.
+    """
+
+    @pytest.mark.parametrize("command", sorted(PINNED_DIGESTS))
+    def test_stdout_digest(self, capsys, command):
+        code, out, err = run(capsys, *command.split())
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[command]
+
+
 class TestErrorsAndMeta:
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -274,6 +334,28 @@ class TestErrorsAndMeta:
              "--theta", "0.5"],
             env=dict(os.environ, PYTHONPATH=path), preexec_fn=limit_child,
             capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "exceeds the cap" in proc.stderr
+
+    @pytest.mark.parametrize("layout", [
+        ("--occ", "0,1", "--virt", "2,11", "--n-qubits", "12"),
+        ("--occ", "0", "--virt", "12", "--n-qubits", "13"),
+    ], ids=["rank2-n12", "rank1-n13"])
+    def test_over_cap_block_refused_before_the_reference(self, layout):
+        # the 2^N Taylor reference of these layouts takes minutes or more
+        # memory than the limit; the block's cap must refuse them first
+        def limit_child():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            soft = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+        src = str(Path(ucclcu.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ucclcu", "verify", *layout, "--theta", "0.5"],
+            env=dict(os.environ, PYTHONPATH=path), preexec_fn=limit_child,
+            capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error:")
         assert "exceeds the cap" in proc.stderr

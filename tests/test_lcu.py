@@ -1,15 +1,18 @@
 """Block-encoding assembly, postselection, and exact amplification rounds."""
 
 import math
+import operator
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucclcu.circuit import Circuit, Gate, unitary_of
 from ucclcu.errors import ResourceLimitError
 from ucclcu.fermion import UccFactor, exact_unitary
-from ucclcu.lcu import (ancilla_zero_block, assemble_w,
+from ucclcu.lcu import (_PAD_THRESHOLD, ancilla_zero_block, assemble_w,
                         exact_amplification_one_norm, pad_and_synth_oaa,
                         phase_aligned_deviation, reflection_on_ancilla,
                         verify_end_to_end)
@@ -81,8 +84,8 @@ class TestRoundPolicy:
         assert (a.oaa_rounds, a.pad_qubits) == (2, 1)
         assert a.s_one_norm == pytest.approx(11 / 4, abs=1e-14)
         assert a.s_effective == pytest.approx(1.0 + math.sqrt(5.0), abs=1e-12)
-        assert a.num_ancilla == 5
-        assert a.total_qubits == 9
+        assert a.oaa_circuit.num_ancilla == 5
+        assert a.oaa_circuit.num_qubits == 9
 
     def test_theta_zero_skips_amplification(self):
         a = pad_and_synth_oaa(standard_factor(1, 0.0))
@@ -183,3 +186,68 @@ class TestEndToEnd:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             verify_end_to_end(standard_factor(1, 0.5), mode="amplify")
+
+
+@st.composite
+def random_layouts(draw):
+    """(occ, virt, N) at rank 1-2 on N <= 7: adjacent, gapped or interleaved."""
+    n = draw(st.integers(1, 2))
+    nq = draw(st.integers(2 * n, 7))
+    kind = draw(st.sampled_from(["adjacent", "gapped", "interleaved"]))
+    if kind == "adjacent":
+        start = draw(st.integers(0, nq - 2 * n))
+        picked = list(range(start, start + 2 * n))
+    else:
+        picked = draw(st.permutations(range(nq)))[:2 * n]
+        if kind == "gapped":
+            picked = sorted(picked)
+    return tuple(sorted(picked[:n])), tuple(sorted(picked[n:])), nq
+
+
+# theta where sin or cos - 1 vanishes or s meets s_1, nudged across the pad
+# threshold: at pi/2 +- 1e-6 the rank-1 pad weight is 2.5e-13, at 2e-6 it is 1e-12
+EDGE_THETAS = st.builds(
+    operator.add,
+    st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi,
+                     2 * math.pi]),
+    st.sampled_from([0.0, 1e-9, -1e-9, 1e-6, -1e-6, 2e-6, -2e-6]))
+
+
+def assert_both_modes_pass(f):
+    for mode in ("postselect", "oaa"):
+        r = verify_end_to_end(f, mode=mode)
+        assert r.passed, (f, mode, r.deviation, r.leakage)
+
+
+class TestRandomLayouts:
+    @given(random_layouts(), st.one_of(st.floats(-7.0, 7.0), EDGE_THETAS))
+    @settings(max_examples=25, deadline=None)
+    def test_both_modes_pass(self, layout, theta):
+        occ, virt, nq = layout
+        assert_both_modes_pass(UccFactor(occ, virt, theta, nq))
+
+    @pytest.mark.parametrize("offset,pad", [(-1e-6, 0), (1e-6, 0),
+                                            (-2e-6, 1), (2e-6, 1)])
+    def test_rank1_pad_toggles_near_half_pi(self, offset, pad):
+        f = standard_factor(1, math.pi / 2 + offset)
+        a = pad_and_synth_oaa(f)
+        assert (a.oaa_rounds, a.pad_qubits) == (1, pad)
+        assert_both_modes_pass(f)
+
+    def test_rank2_pad_toggles_below_first_level(self):
+        def s(theta):
+            return lcu_coefficients(2, theta).s_one_norm
+
+        lo, hi = 0.5, 1.2  # s(lo) < 2 = s_1 < s(hi); the crossing is near 0.85
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if s(mid) < 2.0 else (lo, mid)
+        slope = (s(lo + 1e-6) - s(lo - 1e-6)) / 2e-6
+        for weight, pad in ((0.5 * _PAD_THRESHOLD, 0), (2 * _PAD_THRESHOLD, 1)):
+            # pad weight c = (s_1 - s)/2 lands on either side of the threshold
+            theta = lo - 2.0 * weight / slope
+            assert ((2.0 - s(theta)) / 2 > _PAD_THRESHOLD) == bool(pad)
+            a = pad_and_synth_oaa(standard_factor(2, theta))
+            assert (a.oaa_rounds, a.pad_qubits) == (1, pad)
+            assert_both_modes_pass(standard_factor(2, theta))
+        assert_both_modes_pass(standard_factor(2, hi))

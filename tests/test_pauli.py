@@ -172,8 +172,7 @@ class TestPauliSum:
     def test_prune_drops_zeros(self):
         p, q = PauliString.from_label("X"), PauliString.from_label("Z")
         s = PauliSum(1, [(p, 1.0), (q, 1e-14)]) - PauliSum(1, [(p, 1.0)])
-        assert len(s.prune(0.0)) == 1          # exact zero removed
-        assert len(s.prune(1e-12)) == 0        # tiny survivor removed too
+        assert len(s.prune()) == 1             # exact zero removed, 1e-14 kept
 
     def test_one_norm(self):
         s = PauliSum(1, [(PauliString.from_label("X"), 3.0),

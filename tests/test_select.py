@@ -31,12 +31,14 @@ class TestRank2Fixtures:
     def test_reference_strings(self):
         assert self.plan.xy_reference.letters == "XXXY"
         assert self.plan.iz_reference.letters == "IZZI"
-        assert self.plan.sector_qubit == 0
+        assert self.plan.to_json_dict()["sector_qubit"] == 0
 
     def test_step_masks(self):
-        by_wire = {s.wire: s.mask.letters for s in self.plan.steps}
+        by_wire = {w: m.letters for w, m in enumerate(self.plan.masks, start=1)}
         assert by_wire == {1: "IZZI", 2: "ZZII", 3: "IIZZ"}
-        assert all(s.polarity == "+" for s in self.plan.steps)
+        steps = self.plan.to_json_dict()["steps"]
+        assert {s["wire"]: s["mask"] for s in steps} == by_wire
+        assert all(s["polarity"] == "+" for s in steps)
 
     def test_code_endpoints(self):
         table = self.plan.code_table
@@ -56,14 +58,14 @@ class TestRank2Fixtures:
                  "YXXX": +1, "YXYY": -1, "YYXY": +1, "YYYX": +1}
         for code, entry in self.plan.code_table.items():
             if sector_of(code, 4):
-                assert entry.coeff_unit == signs[entry.string.letters] * 1j
+                assert 1j ** entry.coeff_power == signs[entry.string.letters] * 1j
 
     def test_frozen_projector_units(self):
         signs = {"IIII": +1, "IIZZ": +1, "IZIZ": -1, "IZZI": -1,
                  "ZIIZ": -1, "ZIZI": -1, "ZZII": +1, "ZZZZ": +1}
         for code, entry in self.plan.code_table.items():
             if not sector_of(code, 4):
-                assert entry.coeff_unit == signs[entry.string.letters]
+                assert 1j ** entry.coeff_power == signs[entry.string.letters]
 
 
 class TestPlanGeneral:
@@ -71,19 +73,19 @@ class TestPlanGeneral:
     def test_step_count_and_shape(self, n):
         f = UccFactor(tuple(range(n)), tuple(range(n, 2 * n)), 0.3, 2 * n)
         plan = derive_select_plan(f)
-        assert len(plan.steps) == 2 * n - 1
-        wires = [s.wire for s in plan.steps]
+        assert len(plan.masks) == 2 * n - 1
+        wires = [s["wire"] for s in plan.to_json_dict()["steps"]]
         assert wires == list(range(1, 2 * n))
-        for s in plan.steps:
-            assert s.mask.x_mask == 0  # diagonal masks only
-            assert s.mask.weight <= 2
+        for mask in plan.masks:
+            assert mask.x_mask == 0  # diagonal masks only
+            assert mask.weight <= 2
 
     def test_rank1_plan(self):
         plan = derive_select_plan(UccFactor((0,), (1,), 1.1, 2))
         assert plan.xy_reference.letters == "XY"
         assert plan.iz_reference.letters == "ZZ"
         assert plan.identity_code == 0b01
-        assert [s.mask.letters for s in plan.steps] == ["ZZ"]
+        assert [m.letters for m in plan.masks] == ["ZZ"]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sector_bijection(self, n):
@@ -137,7 +139,7 @@ class TestPhaseTargets:
         f = UccFactor((0, 1), (2, 3), 0.0, 4)
         plan = derive_select_plan(f)
         targets = code_phase_targets(f, plan)
-        assert all(u == 1.0 for u in targets.values())
+        assert all(p == 0 for p in targets.values())
 
     def test_positive_theta_signs(self):
         plan = derive_select_plan(ADJ2)
@@ -145,11 +147,11 @@ class TestPhaseTargets:
         na = plan.num_ancilla
         for code, entry in plan.code_table.items():
             if sector_of(code, na):
-                assert targets[code] == entry.coeff_unit  # sin(0.7) > 0
+                assert targets[code] == entry.coeff_power  # sin(0.7) > 0
             elif entry.string.is_identity():
-                assert targets[code] == 1.0
-            else:
-                assert targets[code] == -entry.coeff_unit  # cos(0.7) - 1 < 0
+                assert targets[code] == 0
+            else:  # cos(0.7) - 1 < 0
+                assert targets[code] == (entry.coeff_power + 2) % 4
 
     def test_negative_theta_flips_excitation_sector(self):
         f = UccFactor((0, 1), (2, 3), -0.7, 4)
@@ -157,13 +159,13 @@ class TestPhaseTargets:
         targets = code_phase_targets(f, plan)
         for code, entry in plan.code_table.items():
             if sector_of(code, plan.num_ancilla):
-                assert targets[code] == -entry.coeff_unit
+                assert targets[code] == (entry.coeff_power + 2) % 4
 
     def test_all_targets_unimodular(self):
         for theta in (0.0, 0.4, np.pi, -2.0):
             f = UccFactor((0,), (1,), theta, 2)
             targets = code_phase_targets(f, derive_select_plan(f))
-            assert all(abs(abs(u) - 1.0) < 1e-15 for u in targets.values())
+            assert all(type(p) is int and 0 <= p < 4 for p in targets.values())
 
 
 class TestSynthAndVerify:
@@ -190,8 +192,9 @@ class TestSynthAndVerify:
     def test_reference_controls_split_by_sector(self):
         plan = derive_select_plan(GAP2)
         circ = synth_select(GAP2, plan)
+        sector = plan.to_json_dict()["sector_qubit"]
         on_sector = [g for g in circ.gates if len(g.controls) == 1
-                     and g.controls[0][0] == plan.sector_qubit]
+                     and g.controls[0][0] == sector]
         positives = [g for g in on_sector if g.controls[0][1] == "+"]
         negatives = [g for g in on_sector if g.controls[0][1] == "-"]
         # chain Z + four active letters on the excitation side, Z pair opposite
@@ -269,7 +272,7 @@ class TestPhasePolynomial:
             got = fixup_phases(synth_select(f, plan), na)
             targets = code_phase_targets(f, plan)
             for code, entry in plan.code_table.items():
-                want = targets[code] / 1j ** entry.phase_power
+                want = 1j ** ((targets[code] - entry.phase_power) % 4)
                 assert abs(got[code] - want) <= 1e-12, (theta, code)
 
     @pytest.mark.parametrize("layout", [((0,), (1,), 2), ((0, 1), (4, 6), 7)]
@@ -285,12 +288,14 @@ class TestPhasePolynomial:
             assert max(len(g.controls) for g in fixups) <= 2 * n - 1
 
     def test_phase_outside_z4_is_refused(self, monkeypatch):
+        # a coefficient unit off the powers of i is refused at planning time
         import ucclcu.select as select_mod
-        real = select_mod.code_phase_targets
-        monkeypatch.setattr(select_mod, "code_phase_targets", lambda f, plan: {
-            c: u * np.exp(0.1j) for c, u in real(f, plan).items()})
-        with pytest.raises(PlanningError):
-            synth_select(ADJ2)
+        real = select_mod.excitation_pauli_sum
+        monkeypatch.setattr(select_mod, "excitation_pauli_sum",
+                            lambda f: real(f) * np.exp(0.1j))
+        with pytest.raises(PlanningError, match="not a power of i") as err:
+            derive_select_plan(ADJ2)
+        assert set(err.value.offending_string) <= {"X", "Y"}
 
 
 class TestPlanningFailure:
