@@ -15,7 +15,6 @@ Conventions:
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,6 +25,9 @@ from .pauli import check_dense
 
 GATE_KINDS = ("H", "X", "Y", "Z", "RX", "RY", "RZ", "PHASE", "GLOBALPHASE")
 ANGLED_KINDS = ("RX", "RY", "RZ", "PHASE", "GLOBALPHASE")
+_DIAGONAL_KINDS = ("Z", "PHASE", "RZ")
+#: entries per column block of `apply_circuit` (2^16 complex = 1 MiB)
+_BLOCK_ENTRIES = 1 << 16
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -170,22 +172,81 @@ class Circuit:
                 "num_ancilla": self.num_ancilla,
                 "gates": [g.to_json_dict() for g in self.gates]}
 
-    def to_json(self, **dumps_kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **dumps_kwargs)
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "Circuit":
         return cls(num_qubits=int(d["num_qubits"]),
                    gates=[Gate.from_json_dict(g) for g in d.get("gates", ())],
                    num_ancilla=int(d.get("num_ancilla", 0)))
 
-    @classmethod
-    def from_json(cls, text: str) -> "Circuit":
-        return cls.from_json_dict(json.loads(text))
+
+def _phase_on(controls: tuple[tuple[int, str], ...], kind: str,
+              angle: float | None) -> list[Gate]:
+    """Gates giving the |1> factor of Z or PHASE(angle) to every state where
+    `controls` fire: the gate itself on a positive control wire, or
+    conjugated by X so that each amplitude is multiplied once by that factor."""
+    on = [q for q, pol in controls if pol == "+"]
+    wire = on[0] if on else controls[0][0] if controls else 0
+    gate = Gate(kind, (wire,), angle, tuple(c for c in controls if c[0] != wire))
+    if on:
+        return [gate]
+    x = Gate("X", (wire,))
+    return [x, gate, x] if controls else [gate, x, gate, x]
+
+
+def code_block(circuit: Circuit, code: int) -> Circuit:
+    """The system-register circuit that `circuit` runs while its ancilla
+    block holds basis code `code` (wire w is bit num_ancilla-1-w of code).
+
+    Ancilla controls are evaluated classically; a gate they do not fire is
+    dropped.  A gate on a system target keeps its kind, angle and system
+    controls, re-indexed by -num_ancilla.  A Z, PHASE or RZ on an ancilla
+    target becomes the phase that code's target bit picks up, under the
+    gate's system controls.  That phase is a Z or PHASE on a system wire
+    (conjugated by X where no control is positive), so the kernel multiplies
+    each amplitude by exactly the factor it uses on the whole register: Z
+    gives exactly -1, and every block is bitwise the matching block of the
+    whole circuit's unitary.
+
+    Raises:
+        ValueError: a gate of another kind targets an ancilla wire, so it
+            can move the code.
+    """
+    na = circuit.num_ancilla
+    bits = [(code >> (na - 1 - w)) & 1 for w in range(na)]
+    out = Circuit(circuit.num_qubits - na)
+    for g in circuit.gates:
+        if any(bits[q] != (pol == "+") for q, pol in g.controls if q < na):
+            continue
+        controls = tuple((q - na, pol) for q, pol in g.controls if q >= na)
+        if g.kind == "GLOBALPHASE":
+            out.append(Gate(g.kind, (), g.angle, controls))
+        elif g.targets[0] >= na:
+            out.append(Gate(g.kind, (g.targets[0] - na,), g.angle, controls))
+        elif g.kind not in _DIAGONAL_KINDS:
+            raise ValueError(f"{g.kind} on ancilla wire {g.targets[0]} "
+                             "can move the code")
+        elif g.kind == "RZ":
+            half = g.angle / 2.0
+            out.extend(_phase_on(controls, "PHASE",
+                                 half if bits[g.targets[0]] else -half))
+        elif bits[g.targets[0]]:
+            out.extend(_phase_on(controls, g.kind, g.angle))
+    return out
 
 
 def apply_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Run the circuit on a statevector (or a batch of column vectors).
+
+    A vector is treated as one column.  The columns are evaluated in
+    contiguous blocks of about _BLOCK_ENTRIES entries (at least one column):
+    each block is copied in, run through every gate, and written into one
+    preallocated output, so the working set stays cache-sized and the peak
+    is the input plus the output.  Z, PHASE and RZ scale only the half of
+    the controlled subspace they change, by the diagonal entry, factor
+    first (m11·b); every other kind does the 2x2 update m00·a + m01·b,
+    m10·a + m11·b on the target axis.  Each product is formed out of place
+    and stored back, which gives the same bits as the full 2x2 update and
+    makes a column's result independent of how many columns share its block.
 
     Args:
         circuit: the circuit to apply.
@@ -205,31 +266,49 @@ def apply_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     if arr.shape[0] != dim:
         raise DimensionError(
             f"state dimension {arr.shape[0]} != 2**{width}")
-    batched = arr.ndim == 2
-    if not batched:
+    if arr.ndim == 1:
         norm_err = abs(np.linalg.norm(arr) - 1.0)
         if norm_err > 1e-6:
             raise ValueError(f"input state norm off by {norm_err:.2e}")
         if norm_err > 1e-9:
             warnings.warn(f"input state norm off by {norm_err:.2e}",
                           RuntimeWarning, stacklevel=2)
-    work = arr.copy().reshape((2,) * width + ((-1,) if batched else ()))
+    cols = arr.reshape(dim, -1)
+    out = np.empty_like(cols)
+    # per gate: (kind, index of its |0> half, index of its |1> half, matrix);
+    # the trailing Ellipsis keeps every index a view, even when a gate fixes
+    # every wire
+    steps = []
     for gate in circuit.gates:
-        sel: list = [slice(None)] * width
+        sel: list = [slice(None)] * width + [Ellipsis]
         for q, pol in gate.controls:
             sel[q] = 1 if pol == "+" else 0
         if gate.kind == "GLOBALPHASE":
-            work[tuple(sel)] = work[tuple(sel)] * np.exp(1j * gate.angle)
+            steps.append((gate.kind, tuple(sel), None, np.exp(1j * gate.angle)))
             continue
-        # the 2x2 update on the target axis, inside the controlled subspace
-        m = _gate_matrix(gate.kind, gate.angle)
         sel_a, sel_b = list(sel), list(sel)
         sel_a[gate.targets[0]], sel_b[gate.targets[0]] = 0, 1
-        a = work[tuple(sel_a)].copy()
-        b = work[tuple(sel_b)]
-        work[tuple(sel_a)] = m[0, 0] * a + m[0, 1] * b
-        work[tuple(sel_b)] = m[1, 0] * a + m[1, 1] * b
-    return work.reshape(arr.shape)
+        steps.append((gate.kind, tuple(sel_a), tuple(sel_b),
+                      _gate_matrix(gate.kind, gate.angle)))
+    step = max(1, _BLOCK_ENTRIES >> width)
+    for start in range(0, cols.shape[1], step):
+        work = cols[:, start:start + step].copy().reshape((2,) * width + (-1,))
+        for kind, sel_a, sel_b, m in steps:
+            a = work[sel_a]
+            if kind == "GLOBALPHASE":
+                a[...] = a * m
+                continue
+            b = work[sel_b]
+            if kind in _DIAGONAL_KINDS:
+                if kind == "RZ":
+                    a[...] = m[0, 0] * a
+                b[...] = m[1, 1] * b
+            else:
+                new_a = m[0, 0] * a + m[0, 1] * b
+                b[...] = m[1, 0] * a + m[1, 1] * b
+                a[...] = new_a
+        out[:, start:start + step] = work.reshape(dim, -1)
+    return out.reshape(arr.shape)
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:

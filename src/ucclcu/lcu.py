@@ -161,17 +161,13 @@ def phase_aligned_deviation(matrix: np.ndarray,
 
 @dataclass(frozen=True, slots=True)
 class EndToEndReport:
-    theta: float
-    mode: str
     s_one_norm: float
     s_effective: float
     rounds: int
     pad_qubits: int
     deviation: float
     leakage: float
-    phase_alignment: float
     success_probability: float | None
-    tolerance: float
     passed: bool
 
 
@@ -197,15 +193,13 @@ def verify_end_to_end(f: UccFactor, mode: str = "oaa",
     block, leakage = ancilla_zero_block(circuit)
     if mode == "postselect":
         s = lcu_coefficients(f.rank, f.theta).s_one_norm
-        deviation, phi = phase_aligned_deviation(s * block, reference)
+        deviation, _ = phase_aligned_deviation(s * block, reference)
         probability = float(np.linalg.norm(block, 2) ** 2)
         prob_ok = abs(probability - 1.0 / (s * s)) <= 1e-9
-        return EndToEndReport(f.theta, mode, s, s, 0, 0, deviation, leakage,
-                              phi, probability, tolerance,
+        return EndToEndReport(s, s, 0, 0, deviation, leakage, probability,
                               deviation <= tolerance and prob_ok)
-    deviation, phi = phase_aligned_deviation(block, reference)
-    return EndToEndReport(f.theta, mode, assembly.s_one_norm,
-                          assembly.s_effective, assembly.oaa_rounds,
-                          assembly.pad_qubits, deviation, leakage, phi, None,
-                          tolerance,
+    deviation, _ = phase_aligned_deviation(block, reference)
+    return EndToEndReport(assembly.s_one_norm, assembly.s_effective,
+                          assembly.oaa_rounds, assembly.pad_qubits, deviation,
+                          leakage, None,
                           deviation <= tolerance and leakage <= tolerance)

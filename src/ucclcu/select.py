@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, Gate, apply_circuit
+from .circuit import Circuit, Gate, apply_circuit, code_block
 from .errors import PlanningError
 from .fermion import (UccFactor, chain_qubits, excitation_pauli_sum,
                       projector_pauli_sum)
@@ -292,22 +292,30 @@ class SelectReport:
 def verify_select(f: UccFactor, plan: SelectPlan | None = None,
                   circuit: Circuit | None = None) -> SelectReport:
     """Check that every ancilla basis code induces exactly its code_table
-    string (target phase included) and leaves the ancilla untouched."""
+    string (target phase included) and leaves the ancilla untouched.
+
+    Each of the 4^n codes is checked on the system register alone: its
+    `code_block` is run on the 2^N identity and compared with i^{t_c}·P_c.
+    Only Z, PHASE and RZ may target a code wire, so no gate moves the code;
+    any other gate there fails the check (max_deviation inf), even when a
+    later gate undoes it.  The dense cap bounds the 4^n blocks' total entries,
+    2^{2n+N} · 2^N.
+    """
     check_dense(2 * f.rank + f.num_qubits, f.num_qubits, "per-code column batch")
     if plan is None:
         plan = derive_select_plan(f)
     if circuit is None:
         circuit = synth_select(f, plan)
-    na, nq = plan.num_ancilla, plan.num_qubits
-    dim_sys = 1 << nq
     targets = code_phase_targets(f, plan)
+    identity = np.eye(1 << plan.num_qubits, dtype=complex)
     worst, worst_code = 0.0, 0
     for code in sorted(plan.code_table):
-        block = slice(code * dim_sys, (code + 1) * dim_sys)
-        cols = np.zeros((1 << (na + nq), dim_sys), dtype=complex)
-        cols[block] = np.eye(dim_sys)
-        out = apply_circuit(circuit, cols)
-        out[block] -= 1j ** targets[code] * plan.code_table[code].string.to_dense()
+        try:
+            block = code_block(circuit, code)
+        except ValueError:
+            return SelectReport(math.inf, code, False)
+        out = apply_circuit(block, identity)
+        out -= 1j ** targets[code] * plan.code_table[code].string.to_dense()
         deviation = float(np.linalg.norm(out, 2))
         if deviation > worst:
             worst, worst_code = deviation, code

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ucclcu.circuit import Circuit, Gate, code_block, unitary_of
 from ucclcu.errors import PlanningError, ResourceLimitError
 from ucclcu.fermion import (UccFactor, chain_qubits, excitation_pauli_sum,
                             projector_pauli_sum)
@@ -213,6 +214,70 @@ class TestSynthAndVerify:
     def test_system_offset_guard(self):
         with pytest.raises(ValueError):
             synth_select(ADJ2, system_offset=3)
+
+
+def assert_blocks_match(circuit):
+    """Each code's code_block is bitwise the code's diagonal block of the
+    whole circuit's unitary, and the code's columns leave no other code."""
+    full = unitary_of(circuit)
+    dim = 1 << (circuit.num_qubits - circuit.num_ancilla)
+    for code in range(1 << circuit.num_ancilla):
+        rows = slice(code * dim, (code + 1) * dim)
+        assert np.array_equal(unitary_of(code_block(circuit, code)),
+                              full[rows, rows]), code
+        leak = full[:, rows].copy()
+        leak[rows] = 0
+        assert not leak.any(), code
+
+
+class TestCodeBlock:
+    @pytest.mark.parametrize("layout", [
+        ((0,), (1,), 2), ((0, 1), (2, 3), 4), ((0, 2), (3, 5), 7)])
+    @pytest.mark.parametrize("theta", [0.0, 0.7, -2.5, math.pi])
+    def test_select_blocks_match_full_unitary(self, layout, theta):
+        occ, virt, nq = layout
+        assert_blocks_match(synth_select(UccFactor(occ, virt, theta, nq)))
+
+    def test_ancilla_phases_under_system_controls(self):
+        """Z, PHASE and RZ on code wires, under system controls of either
+        polarity or none, become exact phases on the system register."""
+        circ = Circuit(5, [
+            Gate("H", (2,)), Gate("RY", (3,), 0.4, ((0, "+"),)),
+            Gate("PHASE", (1,), 0.9, ((3, "+"),)),
+            Gate("PHASE", (0,), -1.3, ((2, "-"), (1, "+"))),
+            Gate("PHASE", (1,), 2.1),
+            Gate("RZ", (0,), 0.8, ((4, "-"),)),
+            Gate("RZ", (1,), -2.2, ((2, "+"), (0, "-"))),
+            Gate("Z", (0,), controls=((2, "-"), (3, "-"))),
+            Gate("Z", (1,), controls=((4, "+"),)),
+            Gate("Z", (0,)),
+            Gate("GLOBALPHASE", (), 0.5, ((1, "+"), (3, "-"))),
+            Gate("X", (4,), controls=((0, "-"), (1, "-"))),
+        ], num_ancilla=2)
+        assert_blocks_match(circ)
+
+    def test_restricted_phases_are_exact(self):
+        circ = Circuit(3, [Gate("PHASE", (0,), 0.9, ((1, "-"), (2, "+")))],
+                       num_ancilla=1)
+        assert code_block(circ, 0).gates == []
+        np.testing.assert_array_equal(unitary_of(code_block(circ, 1)),
+                                      np.diag([1, np.exp(0.9j), 1, 1]))
+        circ = Circuit(2, [Gate("Z", (0,))], num_ancilla=1)
+        np.testing.assert_array_equal(unitary_of(code_block(circ, 1)), -np.eye(2))
+
+    @pytest.mark.parametrize("extra", [
+        [Gate("H", (0,))], [Gate("RY", (1,), 0.3)],
+        [Gate("X", (2,)), Gate("X", (2,))],   # undone, still refused
+    ])
+    def test_code_moving_gate_fails_without_raising(self, extra):
+        plan = derive_select_plan(ADJ2)
+        circ = synth_select(ADJ2, plan)
+        circ.extend(extra)
+        with pytest.raises(ValueError):
+            code_block(circ, 0)
+        report = verify_select(ADJ2, plan, circuit=circ)
+        assert not report.passed
+        assert report.max_deviation == math.inf
 
 
 @functools.lru_cache(maxsize=None)
