@@ -243,10 +243,10 @@ def apply_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     preallocated output, so the working set stays cache-sized and the peak
     is the input plus the output.  Z, PHASE and RZ scale only the half of
     the controlled subspace they change, by the diagonal entry, factor
-    first (m11·b); every other kind does the 2x2 update m00·a + m01·b,
-    m10·a + m11·b on the target axis.  Each product is formed out of place
-    and stored back, which gives the same bits as the full 2x2 update and
-    makes a column's result independent of how many columns share its block.
+    first (m11·b); X swaps the two halves; every other kind does the 2x2
+    update m00·a + m01·b, m10·a + m11·b on the target axis.  Products are
+    formed out of place and stored back: the same bits as the full 2x2
+    update, and a column's result does not depend on its block's width.
 
     Args:
         circuit: the circuit to apply.
@@ -299,7 +299,9 @@ def apply_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
                 a[...] = a * m
                 continue
             b = work[sel_b]
-            if kind in _DIAGONAL_KINDS:
+            if kind == "X":
+                a[...], b[...] = b, a.copy()
+            elif kind in _DIAGONAL_KINDS:
                 if kind == "RZ":
                     a[...] = m[0, 0] * a
                 b[...] = m[1, 1] * b

@@ -27,16 +27,15 @@ from pathlib import Path
 
 from . import __version__
 from .costs import comparison_csv
-from .errors import AngleDomainError, DimensionError, PlanningError, \
-    ResourceLimitError
+from .errors import PlanningError, ResourceLimitError
 from .fermion import UccFactor, ucc_factor_expand
 from .lcu import assemble_w, pad_and_synth_oaa, verify_end_to_end
 from .prepare import prepare_angles, synth_prepare
 from .qasm import export_qasm
 from .select import derive_select_plan, synth_select
 
-_USER_ERRORS = (ValueError, AngleDomainError, DimensionError, PlanningError,
-                ResourceLimitError, OSError)
+# AngleDomainError and DimensionError are ValueErrors
+_USER_ERRORS = (ValueError, PlanningError, ResourceLimitError, OSError)
 
 
 def _int_list(text: str) -> tuple[int, ...]:

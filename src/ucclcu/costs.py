@@ -28,7 +28,8 @@ def _check_rho(n: int, rho) -> tuple[int, ...]:
 
 
 def prepare_cnot_count(n: int) -> int:
-    """Ancilla-loader CNOTs: 2n + 2 sum_{k=2}^{2n-1} (8k-12)(2n+1-k)."""
+    """The paper's loader model: 2n + 2 sum_{k=2}^{2n-1} (8k-12)(2n+1-k)
+    CNOTs.  The emitted thermometer loader (`synth_prepare`) costs 8n-5."""
     if n < 1:
         raise ValueError("rank must be >= 1")
     total = 2 * n + 2 * sum((8 * k - 12) * (2 * n + 1 - k)

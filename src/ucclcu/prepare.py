@@ -1,13 +1,24 @@
 """PREPARE synthesis: load LCU coefficient amplitudes onto the 2n-qubit
 ancilla bank.
 
-The loader B prepares the nonnegative amplitudes sqrt(|alpha_m| / s) with one
-circuit skeleton: an RX on the sector qubit, then per level a controlled
-broadcast-Hadamard block and a multi-anticontrolled RY.  Its angles come from
-a conditional-mass recursion over the code tree.  All coefficient phases (the
-i of i*sin(theta), the sign of cos(theta)-1, per-string signs) are realized
-inside SELECT: with the same loader on both sides of B† · SELECT · B, any
-ket-side phase cancels against its bra-side conjugate.
+The loader B loads amplitudes of magnitude sqrt(|alpha_m| / s) as a
+thermometer code on the 2n code wires, with one conditional-mass angle a_w
+per wire and 6n-3 gates of at most one control each: RX(a_0) on wire 0;
+for w = 1..2n-1, X on wire w controlled on wire w-1 (H on the last wire),
+then RY(a_w) on wire w anticontrolled on wire w-1; then, for w = 2n-2 down
+to 1, H on wire w controlled on wire w-1.  Before those closing H's, every
+wire below the last holds 1 exactly when the first set wire is at or before
+it, so "wire w-1 is 0" means "wires 0..w-1 are all 0", and each RY fires
+only on the branch whose mass it splits.  The closing H's run downwards, so
+each control still reads its thermometer bit; they turn every 1 after the
+first set wire into |->, next to the |+> the last wire's H left.  A code
+whose first set wire is k thus has |amplitude|^2 = prod_{i<k} cos^2(a_i/2)
+sin^2(a_k/2) 2^-(2n-1-k), and code 0 has prod_i cos^2(a_i/2).
+
+All coefficient phases (the i of i*sin(theta), the sign of cos(theta)-1,
+per-string signs) are realized inside SELECT.  The loaded signs, the |->
+wires included, are ket-side phases: with the same loader on both sides of
+B† · SELECT · B each cancels against its bra-side conjugate.
 
 The paper's closed-form angles are kept as `prepare_angles` for reference.
 Under the full-angle reading exp(-i theta P) they load |alpha_m| themselves,
@@ -112,8 +123,8 @@ def prepare_target_amplitudes(n: int, theta: float,
 def _loader_angles(n: int, theta: float, identity_offset: float) -> list[float]:
     """Half-convention angles that load sqrt(mass) per code family.
 
-    Family k (codes whose first set bit is at level k) receives total mass
-    m_1 = |sin theta|/s for the excitation sector and
+    Family k (codes whose first set bit is at level k, wire k-1) receives
+    total mass m_1 = |sin theta|/s for the excitation sector and
     m_k = 2^{2n-k} |projector|/s for k >= 2; the recursion peels each family
     off the remaining all-zeros-prefix amplitude.  That remainder is summed
     from the masses below it (later families plus the identity code), never
@@ -143,49 +154,36 @@ def _loader_angles(n: int, theta: float, identity_offset: float) -> list[float]:
 
 
 def _loader(n: int, angles) -> Circuit:
-    """The loader skeleton on 2n qubits, one angle per level.
-
-    Level 1 is a bare RX on wire 0.  Level k = 2..2n: broadcast H on wires
-    k-1..2n-1, positively controlled on wire k-2 and anticontrolled on wires
-    0..k-3; then RY on wire k-1 anticontrolled on wires 0..k-2.
-    """
+    """The thermometer loader on 2n wires (see the module docstring)."""
     width = 2 * n
     circ = Circuit(width, num_ancilla=width)
     circ.append(Gate("RX", (0,), angles[0]))
-    for k in range(2, width + 1):
-        wire = k - 1
-        h_controls = tuple([(wire - 1, "+")] + [(j, "-") for j in range(wire - 1)])
-        for t in range(wire, width):
-            circ.append(Gate("H", (t,), controls=h_controls))
-        ry_controls = tuple((j, "-") for j in range(wire))
-        circ.append(Gate("RY", (wire,), angles[k - 1], ry_controls))
+    for w in range(1, width):
+        circ.append(Gate("H" if w == width - 1 else "X", (w,),
+                         controls=((w - 1, "+"),)))
+        circ.append(Gate("RY", (w,), angles[w], ((w - 1, "-"),)))
+    for w in range(width - 2, 0, -1):
+        circ.append(Gate("H", (w,), controls=((w - 1, "+"),)))
     return circ
 
 
 def synth_prepare(n: int, theta: float, identity_offset: float = 0.0) -> Circuit:
-    """Synthesize the ancilla loader B on 2n qubits.
-
-    identity_offset: extra identity-labeled weight folded into the loaded
-    distribution (used by the amplification padding).
-    """
+    """The ancilla loader B on 2n qubits; identity_offset is extra identity
+    weight folded into the loaded distribution (the amplification pad)."""
     return _loader(n, _loader_angles(n, theta, identity_offset))
 
 
 @dataclass(frozen=True, slots=True)
 class PrepareReport:
-    """max_deviation of the loaded |amplitudes| from sqrt(|alpha|/s).
-
-    used_fallback (always False) remains for readers of the report; there is
-    no fallback loader.
-    """
+    """max_deviation of the loaded |amplitudes| from sqrt(|alpha|/s);
+    used_fallback is always False (there is no fallback loader)."""
 
     max_deviation: float
     used_fallback: bool = False
 
 
 def verify_prepare(n: int, theta: float) -> PrepareReport:
-    """Compare |amplitudes| of the synthesized loader with the sqrt(|alpha|/s)
-    target."""
+    """Compare the loaded |amplitudes| with the sqrt(|alpha|/s) target."""
     check_dense(2 * n, 0, "loader state")
     target = np.array(prepare_target_amplitudes(n, theta))
     init = np.zeros(1 << (2 * n), dtype=complex)

@@ -89,3 +89,15 @@ def controlled_phase_factor(width: int, angle: float, controls=()) -> np.ndarray
         if all((bits[q] == 1) == (pol == "+") for q, pol in controls):
             diag[col] = np.exp(1j * angle)
     return np.diag(diag)
+
+
+def controlled_x_rows(state: np.ndarray, width: int, target: int,
+                      controls=()) -> np.ndarray:
+    """A polarized-controlled X as a row permutation: each basis row whose
+    controls fire takes the row with the target bit flipped."""
+    out = np.array(state, copy=True)
+    for row in range(1 << width):
+        bits = [(row >> (width - 1 - q)) & 1 for q in range(width)]
+        if all((bits[q] == 1) == (pol == "+") for q, pol in controls):
+            out[row] = state[row ^ (1 << (width - 1 - target))]
+    return out

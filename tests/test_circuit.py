@@ -11,7 +11,8 @@ from ucclcu.circuit import (GATE_KINDS, Circuit, Gate, apply_circuit,
                             unitary_of)
 from ucclcu.errors import DimensionError, ResourceLimitError
 
-from oracles import controlled_phase_factor, controlled_unitary
+from oracles import (controlled_phase_factor, controlled_unitary,
+                     controlled_x_rows)
 
 _RX = lambda t: np.array([[math.cos(t / 2), -1j * math.sin(t / 2)],
                           [-1j * math.sin(t / 2), math.cos(t / 2)]])
@@ -177,6 +178,20 @@ class TestColumnBlocks:
         out = apply_circuit(circ, cols)
         for j in range(cols.shape[1]):
             assert np.array_equal(out[:, j], apply_circuit(circ, cols[:, j])), j
+
+    @pytest.mark.parametrize("controls", [
+        (), ((3, "+"),), ((3, "-"),), ((0, "-"), (9, "+")), ((5, "+"), (2, "-"))])
+    def test_x_is_a_row_permutation(self, controls):
+        """X swaps the two halves: on a batch over several blocks, signed
+        zeros included, it moves every entry bit for bit as the oracle's
+        row permutation does."""
+        rng = np.random.default_rng(6)
+        cols = rng.normal(size=(1 << 10, 150)) + 1j * rng.normal(size=(1 << 10, 150))
+        cols[rng.random(cols.shape) < 0.1] = complex(-0.0, -0.0)
+        out = apply_circuit(Circuit(10, [Gate("X", (7,), controls=controls)]), cols)
+        expected = controlled_x_rows(cols, 10, 7, controls)
+        assert np.array_equal(out, expected)
+        assert out.tobytes() == expected.tobytes()
 
     def test_peak_memory_is_the_output(self):
         """Blocks keep the working set small: the traced peak on a

@@ -224,7 +224,8 @@ class TestCrossProcessDeterminism:
 
 LAYOUT = "--occ 0,2 --virt 3,5 --n-qubits 7"
 
-# SHA-256 of stdout; these artifacts hold only integers and the angles pi/2^k
+# SHA-256 of stdout; these artifacts hold only integers and the angles 0 and
+# pi/2^k
 PINNED_DIGESTS = {
     "plan --rank 1":
         "8c67c3e928a33a3f34821fad06b563e7289011ba40bc8632dbb845cee6376599",
@@ -258,6 +259,10 @@ PINNED_DIGESTS = {
         "78c29e0787a8c04bb02f8ed51f2bb628803468e302ebc7aa54e13b1a09d98ae0",
     f"synth --part select {LAYOUT} --theta -2.5 --qasm":
         "5f1c8258466d8eddcb2bd5ae4ac67c1fd1e65bda41d4e17c981ba1143a5b0ffa",
+    "synth --part prepare --rank 3 --theta 0":
+        "01046fcbdc0b1a67bff4bcb2673f950528c5897f8da9fc195d9a0a83fdb3a7ed",
+    "synth --part prepare --rank 3 --theta 0 --qasm":
+        "d1858006931267b12318ba6cb720bd414d10ca359f1b4d0af6cdd716168ce36a",
     "count --rank-max 8 --rho 0":
         "fbe2b86a798f47574fa5ba02bd356f41110037b01347b7517e991a39517ece9b",
     "count --rank-max 8 --rho 1":
@@ -269,9 +274,11 @@ class TestPinnedBytes:
     """Exact bytes of the artifacts that no libm or SIMD difference can move.
 
     `plan`, `synth --part select` and `count` print only integers and the
-    constant angles pi/2^k; `expand` and `verify` print computed floats and
-    are left out.  A deliberate change to these bytes updates the digests
-    here and says in CHANGES.md why the bytes changed.
+    constant angles pi/2^k; `synth --part prepare` at theta = 0 has every
+    loader angle exactly 0.0, so its digest pins the loader's gate list.
+    `expand` and `verify` print computed floats and are left out.  A
+    deliberate change to these bytes updates the digests here and says in
+    CHANGES.md why the bytes changed.
     """
 
     @pytest.mark.parametrize("command", sorted(PINNED_DIGESTS))

@@ -127,7 +127,7 @@ class TestRealizedCounts:
             assert realized == 22 * n - 20
             assert realized - (16 * n - 20) <= model
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_one_round_oaa_meets_model(self, n):
         assembly = pad_and_synth_oaa(adjacent(n))
         assert assembly.oaa_rounds == 1
@@ -135,12 +135,16 @@ class TestRealizedCounts:
             total_lcu_count(n, [0] * (2 * n - 2))
 
     def test_low_rank_gap(self):
-        # ranks 1-2 exceed the model: the pad wire adds a control to every
-        # PREPARE gate, which the model (no pad) does not count
-        realized = [realized_cnot_count(pad_and_synth_oaa(adjacent(n)).oaa_circuit)
-                    for n in (1, 2)]
-        assert realized == [92, 676]
-        assert [total_lcu_count(n, [0] * (2 * n - 2)) for n in (1, 2)] == [30, 498]
+        # only rank 1 exceeds the model: there the emitted loader has the
+        # model's gates, and the pad wire adds a control to every one of
+        # them, which the model (no pad) does not count
+        realized = realized_cnot_count(pad_and_synth_oaa(adjacent(1)).oaa_circuit)
+        assert (realized, total_lcu_count(1, [])) == (92, 30)
+
+    def test_one_round_oaa_pinned(self):
+        # linear from rank 2 on: 242n - 168
+        assert [realized_cnot_count(pad_and_synth_oaa(adjacent(n)).oaa_circuit)
+                for n in range(1, 7)] == [92, 316, 558, 800, 1042, 1284]
 
 
 class TestCascadeSynthesis:

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucclcu.circuit import apply_circuit
+from ucclcu.costs import realized_cnot_count
 from ucclcu.errors import AngleDomainError, ResourceLimitError
 from ucclcu.fermion import UccFactor, ucc_factor_expand
 from ucclcu.prepare import (_loader, lcu_coefficients, prepare_angles,
@@ -155,11 +158,48 @@ class TestSynthPrepare:
         assert np.max(np.abs(got - sqrt_target)) > 1e-2
 
     def test_gate_budget_structure(self):
-        # level k contributes (2n+1-k) broadcast H's and one RY; plus the RX
-        for n in (1, 2, 3):
+        # RX, then an X (H on the last wire) and an RY per further wire, then
+        # the closing H's: 6n-3 gates of at most one control, 8n-5 CNOTs
+        for n in range(1, 7):
             circ = synth_prepare(n, 0.7)
-            expected = 1 + sum((2 * n + 1 - k) + 1 for k in range(2, 2 * n + 1))
-            assert len(circ) == expected
+            assert len(circ) == 6 * n - 3
+            assert all(len(g.controls) <= 1 for g in circ.gates)
+            assert realized_cnot_count(circ) == 8 * n - 5
+
+
+def first_set_wire_magnitudes(n, angles):
+    """|amplitude| per code, written from the thermometer argument alone: a
+    code whose first set wire is k gets prod_{i<k} cos^2(a_i/2) ·
+    sin^2(a_k/2) · 2^-(2n-1-k); code 0 gets prod_i cos^2(a_i/2)."""
+    width = 2 * n
+    probs = np.empty(1 << width)
+    for code in range(1 << width):
+        bits = [(code >> (width - 1 - w)) & 1 for w in range(width)]
+        k = bits.index(1) if code else width
+        p = math.prod(math.cos(a / 2) ** 2 for a in angles[:k])
+        if code:
+            p *= math.sin(angles[k] / 2) ** 2 * 2.0 ** -(width - 1 - k)
+        probs[code] = p
+    return np.sqrt(probs)
+
+
+EDGE_ANGLES = st.sampled_from([0.0, math.pi, -math.pi, 2 * math.pi,
+                               -2.5, 7.5, 4 * math.pi + 0.3])
+
+
+class TestLoaderSkeleton:
+    """The skeleton loads the first-set-wire distribution for any angles,
+    independently of the mass recursion that picks them."""
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.one_of(st.floats(-13.0, 13.0), EDGE_ANGLES),
+                             min_size=2 * n, max_size=2 * n))))
+    @settings(max_examples=60, deadline=None)
+    def test_magnitudes_follow_first_set_wire(self, case):
+        n, angles = case
+        got = np.abs(loaded_state(_loader(n, angles)))
+        assert np.max(np.abs(got - first_set_wire_magnitudes(n, angles))) \
+            <= 1e-12
 
 
 class TestVerifyAndFallback:
