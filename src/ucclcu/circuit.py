@@ -193,43 +193,45 @@ def _phase_on(controls: tuple[tuple[int, str], ...], kind: str,
     return [x, gate, x] if controls else [gate, x, gate, x]
 
 
-def code_block(circuit: Circuit, code: int) -> Circuit:
-    """The system-register circuit that `circuit` runs while its ancilla
-    block holds basis code `code` (wire w is bit num_ancilla-1-w of code).
+def restrict(circuit: Circuit, fixed: dict[int, int]) -> Circuit:
+    """The circuit that `circuit` runs on its other wires while each wire w
+    in `fixed` holds basis bit fixed[w].
 
-    Ancilla controls are evaluated classically; a gate they do not fire is
-    dropped.  A gate on a system target keeps its kind, angle and system
-    controls, re-indexed by -num_ancilla.  A Z, PHASE or RZ on an ancilla
-    target becomes the phase that code's target bit picks up, under the
-    gate's system controls.  That phase is a Z or PHASE on a system wire
-    (conjugated by X where no control is positive), so the kernel multiplies
-    each amplitude by exactly the factor it uses on the whole register: Z
-    gives exactly -1, and every block is bitwise the matching block of the
-    whole circuit's unitary.
+    The kept wires are renumbered in order, and those below num_ancilla stay
+    the ancilla block.  Controls on fixed wires are evaluated classically; a
+    gate they do not fire is dropped.  A gate on a kept target keeps its
+    kind, angle and kept controls.  A Z, PHASE or RZ on a fixed target
+    becomes the phase that the target's bit picks up, under the gate's kept
+    controls.  That phase is a Z or PHASE on a kept wire (conjugated by X
+    where no control is positive), so the kernel multiplies each amplitude
+    by exactly the factor it uses on the whole register: Z gives exactly -1,
+    and the restricted unitary is bitwise the matching block of the whole
+    circuit's unitary.
 
     Raises:
-        ValueError: a gate of another kind targets an ancilla wire, so it
-            can move the code.
+        ValueError: a gate of another kind targets a fixed wire, so it can
+            move that wire's bit.
     """
-    na = circuit.num_ancilla
-    bits = [(code >> (na - 1 - w)) & 1 for w in range(na)]
-    out = Circuit(circuit.num_qubits - na)
+    keep = [w for w in range(circuit.num_qubits) if w not in fixed]
+    index = {w: i for i, w in enumerate(keep)}
+    out = Circuit(len(keep),
+                  num_ancilla=sum(w < circuit.num_ancilla for w in keep))
     for g in circuit.gates:
-        if any(bits[q] != (pol == "+") for q, pol in g.controls if q < na):
+        if any(fixed[q] != (pol == "+") for q, pol in g.controls if q in fixed):
             continue
-        controls = tuple((q - na, pol) for q, pol in g.controls if q >= na)
+        controls = tuple((index[q], pol) for q, pol in g.controls if q in index)
         if g.kind == "GLOBALPHASE":
             out.append(Gate(g.kind, (), g.angle, controls))
-        elif g.targets[0] >= na:
-            out.append(Gate(g.kind, (g.targets[0] - na,), g.angle, controls))
+        elif g.targets[0] in index:
+            out.append(Gate(g.kind, (index[g.targets[0]],), g.angle, controls))
         elif g.kind not in _DIAGONAL_KINDS:
-            raise ValueError(f"{g.kind} on ancilla wire {g.targets[0]} "
-                             "can move the code")
+            raise ValueError(f"{g.kind} on fixed wire {g.targets[0]} "
+                             "can move its bit")
         elif g.kind == "RZ":
             half = g.angle / 2.0
             out.extend(_phase_on(controls, "PHASE",
-                                 half if bits[g.targets[0]] else -half))
-        elif bits[g.targets[0]]:
+                                 half if fixed[g.targets[0]] else -half))
+        elif fixed[g.targets[0]]:
             out.extend(_phase_on(controls, g.kind, g.angle))
     return out
 

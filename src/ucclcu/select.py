@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, Gate, apply_circuit, code_block
+from .circuit import Circuit, Gate, apply_circuit, restrict
 from .errors import PlanningError
 from .fermion import (UccFactor, chain_qubits, excitation_pauli_sum,
                       projector_pauli_sum)
@@ -294,8 +294,9 @@ def verify_select(f: UccFactor, plan: SelectPlan | None = None,
     """Check that every ancilla basis code induces exactly its code_table
     string (target phase included) and leaves the ancilla untouched.
 
-    Each of the 4^n codes is checked on the system register alone: its
-    `code_block` is run on the 2^N identity and compared with i^{t_c}·P_c.
+    Each of the 4^n codes is checked on the system register alone: the
+    circuit `restrict`ed to the code's bits is run on the 2^N identity and
+    compared with i^{t_c}·P_c.
     Only Z, PHASE and RZ may target a code wire, so no gate moves the code;
     any other gate there fails the check (max_deviation inf), even when a
     later gate undoes it.  The dense cap bounds the 4^n blocks' total entries,
@@ -309,9 +310,11 @@ def verify_select(f: UccFactor, plan: SelectPlan | None = None,
     targets = code_phase_targets(f, plan)
     identity = np.eye(1 << plan.num_qubits, dtype=complex)
     worst, worst_code = 0.0, 0
+    na = circuit.num_ancilla
     for code in sorted(plan.code_table):
         try:
-            block = code_block(circuit, code)
+            block = restrict(circuit, {w: (code >> (na - 1 - w)) & 1
+                                       for w in range(na)})
         except ValueError:
             return SelectReport(math.inf, code, False)
         out = apply_circuit(block, identity)

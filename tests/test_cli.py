@@ -14,15 +14,33 @@ import pytest
 
 import ucclcu
 from ucclcu import __version__
-from ucclcu.circuit import Circuit, unitary_of
+from ucclcu.circuit import Circuit, Gate, unitary_of
 from ucclcu.cli import main
 from ucclcu.fermion import UccFactor, exact_unitary
+from ucclcu.lcu import assemble_w
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(*argv, limit_gib=4, **env):
+    """`python -m ucclcu *argv` in a child process with `env` added, under
+    an address-space limit that turns any larger array into a crash."""
+    def limit_child():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = limit_gib << 30
+        resource.setrlimit(resource.RLIMIT_AS, (
+            soft if hard == resource.RLIM_INFINITY else min(soft, hard), hard))
+
+    src = str(Path(ucclcu.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ucclcu", *argv],
+        env=dict(os.environ, PYTHONPATH=path, **env), preexec_fn=limit_child,
+        capture_output=True, text=True, timeout=300)
 
 
 class TestExpand:
@@ -327,45 +345,57 @@ class TestErrorsAndMeta:
         assert "nonempty" in err
 
     def test_over_cap_verify_exits_two(self):
-        # the rank-5 OAA block is 2^21 x 2^10 complex entries (32 GiB); the
-        # address-space limit turns any attempt at it into a crash, not a pass
-        def limit_child():
-            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-            soft = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
-            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        # the rank-5 OAA block is 2^21 x 2^10 complex entries (32 GiB)
+        proc = run_child("verify", "--rank", "5", "--theta", "0.5", limit_gib=4)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "exceeds the cap" in proc.stderr
 
-        src = str(Path(ucclcu.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "ucclcu", "verify", "--rank", "5",
-             "--theta", "0.5"],
-            env=dict(os.environ, PYTHONPATH=path), preexec_fn=limit_child,
-            capture_output=True, text=True, timeout=300)
+    def test_over_cap_block_refused_before_the_reference(self):
+        # spectator 11 is fixed; the kept register is the ten actives and
+        # chain wire 5, so the padded OAA block is still 2^22 x 2^11
+        proc = run_child("verify", "--occ", "0,1,2,3,4", "--virt", "6,7,8,9,10",
+                         "--n-qubits", "12", "--theta", "0.5", limit_gib=2)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error:")
         assert "exceeds the cap" in proc.stderr
 
     @pytest.mark.parametrize("layout", [
-        ("--occ", "0,1", "--virt", "2,11", "--n-qubits", "12"),
+        ("--occ", "0,1", "--virt", "2,11", "--n-qubits", "12",
+         "--mode", "postselect"),
         ("--occ", "0", "--virt", "12", "--n-qubits", "13"),
-    ], ids=["rank2-n12", "rank1-n13"])
-    def test_over_cap_block_refused_before_the_reference(self, layout):
-        # the 2^N Taylor reference of these layouts takes minutes or more
-        # memory than the limit; the block's cap must refuse them first
-        def limit_child():
-            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-            soft = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
-            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        ("--occ", "0,5,9", "--virt", "14,20,29", "--n-qubits", "30"),
+    ], ids=["rank2-n12-postselect", "rank1-n13", "rank3-n30"])
+    def test_wide_layouts_verify_on_their_actives(self, layout):
+        # on the whole register these need a 4 GiB batch or a 2^N reference;
+        # only the actives and one chain wire are simulated
+        proc = run_child("verify", *layout, "--theta", "0.5", limit_gib=2)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["pass"] is True
 
-        src = str(Path(ucclcu.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "ucclcu", "verify", *layout, "--theta", "0.5"],
-            env=dict(os.environ, PYTHONPATH=path), preexec_fn=limit_child,
-            capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr.startswith("error:")
-        assert "exceeds the cap" in proc.stderr
+    def test_spectator_moving_gate_fails_without_exit_two(self, capsys,
+                                                          monkeypatch):
+        def stray_x(f, s_target=None):
+            w = assemble_w(f, s_target)
+            return w.append(Gate("X", (w.num_ancilla + 4,)))
+
+        monkeypatch.setattr("ucclcu.lcu.assemble_w", stray_x)
+        code, out, err = run(capsys, "verify", "--occ", "0,2", "--virt", "3,6",
+                             "--n-qubits", "8", "--theta", "0.7")
+        assert code == 1 and err == ""
+        report = json.loads(out)
+        assert report["pass"] is False
+        assert report["grid"][0]["deviation"] == math.inf
+
+    def test_postselect_bytes_do_not_follow_blas_threads(self):
+        # the kept register is 5 qubits; the oaa grid's tall leakage SVD
+        # still follows the thread count
+        argv = ("verify", "--occ", "0,2", "--virt", "5,7", "--n-qubits", "9",
+                "--theta", "0.3,0.7,2.5", "--mode", "postselect")
+        outs = [run_child(*argv, OPENBLAS_NUM_THREADS=threads)
+                for threads in ("1", "2")]
+        assert all(proc.returncode == 0 for proc in outs)
+        assert outs[0].stdout == outs[1].stdout
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 """Block-encoding assembly, postselection, and exact amplification rounds."""
 
+import itertools
 import math
 import operator
 import tracemalloc
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucclcu.circuit import Circuit, Gate, unitary_of
+from ucclcu.circuit import Circuit, Gate, restrict, unitary_of
 from ucclcu.errors import ResourceLimitError
-from ucclcu.fermion import UccFactor, exact_unitary
+from ucclcu.fermion import UccFactor, chain_qubits, exact_unitary
 from ucclcu.lcu import (_PAD_THRESHOLD, ancilla_zero_block, assemble_w,
                         exact_amplification_one_norm, pad_and_synth_oaa,
                         phase_aligned_deviation, reflection_on_ancilla,
@@ -186,6 +187,94 @@ class TestEndToEnd:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             verify_end_to_end(standard_factor(1, 0.5), mode="amplify")
+
+
+# (occ, virt, N) with spectators: gapped and interleaved, with no chain, one
+# chain or chain wires past the kept one, so both chain parities occur
+SPECTATOR_LAYOUTS = [
+    ((3,), (4,), 7),          # adjacent actives, no chain
+    ((1,), (5,), 8),          # gapped, chains 2-4
+    ((0, 3), (1, 2), 6),      # interleaved, no chain
+    ((0, 1), (4, 6), 7),      # gapped, one chain (5)
+    ((0, 2), (3, 6), 7),      # gapped, chains 1, 4, 5
+    ((0, 4), (2, 6), 7),      # interleaved, chains 1, 5
+]
+SPECTATOR_THETAS = [0.7, -2.5, math.pi / 2]
+
+
+def circuit_for(f, mode):
+    return assemble_w(f) if mode == "postselect" else \
+        pad_and_synth_oaa(f).oaa_circuit
+
+
+class TestSpectatorReduction:
+    """verify_end_to_end simulates only the actives and the first chain
+    wire; the full-register route, `ancilla_zero_block` of the whole
+    emitted circuit, is the oracle."""
+
+    @pytest.mark.parametrize("mode", ["postselect", "oaa"])
+    @pytest.mark.parametrize("layout", SPECTATOR_LAYOUTS,
+                             ids=lambda l: f"{l[0]}-{l[1]}-N{l[2]}")
+    def test_restricted_block_is_every_spectator_slice(self, layout, mode):
+        """Each spectator value's slice of the full block is bitwise the
+        restricted block, its kept chain bit flipped at odd chain parity;
+        the report matches the full route's within 1e-14."""
+        occ, virt, nq = layout
+        chains = chain_qubits(UccFactor(occ, virt, 0.0, nq))
+        kept = sorted(set(occ + virt) | set(chains[:1]))
+        spectators = [q for q in range(nq) if q not in kept]
+        flip = tuple(i for i, q in enumerate(kept) if q in chains)
+        flip += tuple(len(kept) + i for i in flip)
+        for theta in SPECTATOR_THETAS:
+            f = UccFactor(occ, virt, theta, nq)
+            circuit = circuit_for(f, mode)
+            full, leakage = ancilla_zero_block(circuit)
+            na = circuit.num_ancilla
+            block = ancilla_zero_block(
+                restrict(circuit, {na + q: 0 for q in spectators}))[0]
+            block = block.reshape((2,) * (2 * len(kept)))
+            cube = full.reshape((2,) * (2 * nq))
+            for bits in itertools.product((0, 1), repeat=len(spectators)):
+                value = dict(zip(spectators, bits))
+                index = tuple(value.get(q, slice(None)) for q in range(nq))
+                odd = sum(value.get(q, 0) for q in chains) % 2
+                expected = np.flip(block, flip) if odd else block
+                assert np.array_equal(cube[index + index], expected), \
+                    (theta, bits)
+
+            s = lcu_coefficients(f.rank, theta).s_one_norm
+            scale = s if mode == "postselect" else 1.0
+            deviation = phase_aligned_deviation(scale * full, exact_unitary(f))[0]
+            r = verify_end_to_end(f, mode=mode)
+            assert abs(r.deviation - deviation) <= 1e-14
+            assert abs(r.leakage - leakage) <= 1e-14
+            if mode == "postselect":
+                probability = np.linalg.norm(full, 2) ** 2
+                assert abs(r.success_probability - probability) <= 1e-14
+                full_pass = abs(probability - 1 / s ** 2) <= 1e-9
+            else:
+                full_pass = leakage <= 1e-8
+            assert r.passed and deviation <= 1e-8 and full_pass, theta
+
+    def test_grid_has_padded_and_unpadded_circuits(self):
+        pads = {pad_and_synth_oaa(UccFactor(occ, virt, theta, nq)).pad_qubits
+                for (occ, virt, nq), theta in itertools.product(
+                    SPECTATOR_LAYOUTS, SPECTATOR_THETAS)}
+        assert pads == {0, 1}
+
+    @pytest.mark.parametrize("mode", ["postselect", "oaa"])
+    def test_gate_moving_a_spectator_fails_without_raising(self, monkeypatch,
+                                                           mode):
+        f = UccFactor((0, 2), (3, 6), 0.7, 8)   # spectators 4, 5, 7
+
+        def stray_x(f, s_target=None):
+            w = assemble_w(f, s_target)
+            return w.append(Gate("X", (w.num_ancilla + 7,)))
+
+        monkeypatch.setattr("ucclcu.lcu.assemble_w", stray_x)
+        r = verify_end_to_end(f, mode=mode)
+        assert not r.passed
+        assert r.deviation == math.inf
 
 
 @st.composite

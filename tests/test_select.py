@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ucclcu.circuit import Circuit, Gate, code_block, unitary_of
+from ucclcu.circuit import Circuit, Gate, restrict, unitary_of
 from ucclcu.errors import PlanningError, ResourceLimitError
 from ucclcu.fermion import (UccFactor, chain_qubits, excitation_pauli_sum,
                             projector_pauli_sum)
@@ -216,15 +216,24 @@ class TestSynthAndVerify:
             synth_select(ADJ2, system_offset=3)
 
 
+def code_block(circuit, code):
+    """`circuit` restricted to ancilla code `code` (wire w is bit
+    num_ancilla-1-w of code), as verify_select restricts it."""
+    na = circuit.num_ancilla
+    return restrict(circuit, {w: (code >> (na - 1 - w)) & 1 for w in range(na)})
+
+
 def assert_blocks_match(circuit):
-    """Each code's code_block is bitwise the code's diagonal block of the
-    whole circuit's unitary, and the code's columns leave no other code."""
+    """Each code's restricted circuit is bitwise the code's diagonal block
+    of the whole circuit's unitary, and the code's columns leave no other
+    code."""
     full = unitary_of(circuit)
     dim = 1 << (circuit.num_qubits - circuit.num_ancilla)
     for code in range(1 << circuit.num_ancilla):
         rows = slice(code * dim, (code + 1) * dim)
-        assert np.array_equal(unitary_of(code_block(circuit, code)),
-                              full[rows, rows]), code
+        block = code_block(circuit, code)
+        assert block.num_ancilla == 0
+        assert np.array_equal(unitary_of(block), full[rows, rows]), code
         leak = full[:, rows].copy()
         leak[rows] = 0
         assert not leak.any(), code
@@ -255,6 +264,29 @@ class TestCodeBlock:
             Gate("X", (4,), controls=((0, "-"), (1, "-"))),
         ], num_ancilla=2)
         assert_blocks_match(circ)
+
+    def test_fixes_any_wire_set(self):
+        """Fixing wires 1 and 3 of five keeps the other three, renumbered in
+        order, with the one kept ancilla wire still the ancilla block; each
+        assignment gives bitwise the matching block of the whole unitary."""
+        circ = Circuit(5, [
+            Gate("H", (0,)), Gate("H", (2,)), Gate("RY", (4,), 0.4, ((1, "+"),)),
+            Gate("Z", (3,), controls=((0, "+"),)),
+            Gate("PHASE", (1,), 0.9, ((2, "-"), (3, "+"))),
+            Gate("RZ", (3,), -2.2, ((4, "+"),)),
+            Gate("X", (2,), controls=((3, "-"), (0, "+"))),
+            Gate("Z", (1,)), Gate("GLOBALPHASE", (), 0.5, ((1, "+"), (4, "-"))),
+            Gate("RX", (0,), 1.1, ((3, "+"), (2, "-"))),
+        ], num_ancilla=2)
+        full = unitary_of(circ).reshape((2,) * 10)
+        for b1 in (0, 1):
+            for b3 in (0, 1):
+                block = restrict(circ, {1: b1, 3: b3})
+                assert (block.num_qubits, block.num_ancilla) == (3, 1)
+                sub = full[:, b1, :, b3, :, :, b1, :, b3, :].reshape(8, 8)
+                assert np.array_equal(unitary_of(block), sub), (b1, b3)
+                other = full[:, b1, :, 1 - b3, :, :, b1, :, b3, :]
+                assert not other.any()
 
     def test_restricted_phases_are_exact(self):
         circ = Circuit(3, [Gate("PHASE", (0,), 0.9, ((1, "-"), (2, "+")))],
