@@ -179,60 +179,33 @@ class Circuit:
                    num_ancilla=int(d.get("num_ancilla", 0)))
 
 
-def _phase_on(controls: tuple[tuple[int, str], ...], kind: str,
-              angle: float | None) -> list[Gate]:
-    """Gates giving the |1> factor of Z or PHASE(angle) to every state where
-    `controls` fire: the gate itself on a positive control wire, or
-    conjugated by X so that each amplitude is multiplied once by that factor."""
-    on = [q for q, pol in controls if pol == "+"]
-    wire = on[0] if on else controls[0][0] if controls else 0
-    gate = Gate(kind, (wire,), angle, tuple(c for c in controls if c[0] != wire))
-    if on:
-        return [gate]
-    x = Gate("X", (wire,))
-    return [x, gate, x] if controls else [gate, x, gate, x]
+def restrict(circuit: Circuit, zeros: set[int]) -> Circuit:
+    """The circuit that `circuit` runs on its other wires while every wire in
+    `zeros` holds |0>; the kept wires are renumbered in order, and those
+    below num_ancilla stay the ancilla block.
 
-
-def restrict(circuit: Circuit, fixed: dict[int, int]) -> Circuit:
-    """The circuit that `circuit` runs on its other wires while each wire w
-    in `fixed` holds basis bit fixed[w].
-
-    The kept wires are renumbered in order, and those below num_ancilla stay
-    the ancilla block.  Controls on fixed wires are evaluated classically; a
-    gate they do not fire is dropped.  A gate on a kept target keeps its
-    kind, angle and kept controls.  A Z, PHASE or RZ on a fixed target
-    becomes the phase that the target's bit picks up, under the gate's kept
-    controls.  That phase is a Z or PHASE on a kept wire (conjugated by X
-    where no control is positive), so the kernel multiplies each amplitude
-    by exactly the factor it uses on the whole register: Z gives exactly -1,
-    and the restricted unitary is bitwise the matching block of the whole
-    circuit's unitary.
+    A gate with a positive control on a held wire never fires and is
+    dropped; a negative control there always fires and is stripped.  A Z or
+    PHASE on a held wire leaves |0> as it is and is dropped.
 
     Raises:
-        ValueError: a gate of another kind targets a fixed wire, so it can
-            move that wire's bit.
+        ValueError: any other kind targets a held wire, so it can move that
+            wire's bit or phase its |0>.
     """
-    keep = [w for w in range(circuit.num_qubits) if w not in fixed]
+    keep = [w for w in range(circuit.num_qubits) if w not in zeros]
     index = {w: i for i, w in enumerate(keep)}
     out = Circuit(len(keep),
                   num_ancilla=sum(w < circuit.num_ancilla for w in keep))
     for g in circuit.gates:
-        if any(fixed[q] != (pol == "+") for q, pol in g.controls if q in fixed):
+        if any(pol == "+" and q in zeros for q, pol in g.controls):
             continue
         controls = tuple((index[q], pol) for q, pol in g.controls if q in index)
-        if g.kind == "GLOBALPHASE":
-            out.append(Gate(g.kind, (), g.angle, controls))
-        elif g.targets[0] in index:
-            out.append(Gate(g.kind, (index[g.targets[0]],), g.angle, controls))
-        elif g.kind not in _DIAGONAL_KINDS:
-            raise ValueError(f"{g.kind} on fixed wire {g.targets[0]} "
-                             "can move its bit")
-        elif g.kind == "RZ":
-            half = g.angle / 2.0
-            out.extend(_phase_on(controls, "PHASE",
-                                 half if fixed[g.targets[0]] else -half))
-        elif fixed[g.targets[0]]:
-            out.extend(_phase_on(controls, g.kind, g.angle))
+        if all(t in index for t in g.targets):
+            out.append(Gate(g.kind, tuple(index[t] for t in g.targets),
+                            g.angle, controls))
+        elif g.kind not in ("Z", "PHASE"):
+            raise ValueError(f"{g.kind} on held wire {g.targets[0]} "
+                             "can move or phase its |0>")
     return out
 
 

@@ -134,16 +134,18 @@ def pad_and_synth_oaa(f: UccFactor) -> LcuAssembly:
 
 
 def ancilla_zero_block(circuit: Circuit) -> tuple[np.ndarray, float]:
-    """(⟨0|_anc C |0⟩_anc as a system matrix, spectral norm of the leakage)."""
+    """(⟨0|_anc C |0⟩_anc as a system matrix, spectral norm of the leakage L,
+    taken as sqrt(max eigvalsh(L^H L)): unlike an SVD of the tall L, its
+    digits do not follow the BLAS thread count)."""
     num_sys = circuit.num_qubits - circuit.num_ancilla
     check_dense(circuit.num_qubits, num_sys, "ancilla-zero column batch")
     dim_sys = 1 << num_sys
     cols = np.zeros((1 << circuit.num_qubits, dim_sys), dtype=complex)
     cols[:dim_sys] = np.eye(dim_sys)
     out = apply_circuit(circuit, cols)
-    block = out[:dim_sys]
-    leakage = float(np.linalg.norm(out[dim_sys:], 2)) if out.shape[0] > dim_sys else 0.0
-    return block, leakage
+    leak = out[dim_sys:]
+    gram_max = float(np.linalg.eigvalsh(leak.conj().T @ leak)[-1])
+    return out[:dim_sys], math.sqrt(max(gram_max, 0.0))
 
 
 def phase_aligned_deviation(matrix: np.ndarray,
@@ -182,8 +184,8 @@ def verify_end_to_end(f: UccFactor, mode: str = "oaa",
 
     Only the 2n actives and the first chain wire, if any, are simulated: the
     emitted circuits touch the other system wires (spectators) only with
-    sector-controlled Z's on chain wires, so the block with spectators fixed
-    to |0⟩ by `restrict` is matched against the factor re-indexed onto the
+    sector-controlled Z's on chain wires, so the block with spectators held
+    at |0⟩ by `restrict` is matched against the factor re-indexed onto the
     kept wires, and the dense cap judges that block.  A gate that can move
     a spectator fails the check (deviation and leakage inf).
     """
@@ -200,7 +202,7 @@ def verify_end_to_end(f: UccFactor, mode: str = "oaa",
     kept = sorted(set(f.actives) | set(chain_qubits(f)[:1]))
     spectators = set(range(f.num_qubits)) - set(kept)
     try:
-        circuit = restrict(circuit, {circuit.num_ancilla + q: 0 for q in spectators})
+        circuit = restrict(circuit, {circuit.num_ancilla + q for q in spectators})
     except ValueError:
         return EndToEndReport(*known, math.inf, math.inf, None, False)
     block, leakage = ancilla_zero_block(circuit)

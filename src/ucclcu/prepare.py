@@ -67,8 +67,8 @@ def _check_theta(theta: float):
 
 
 def lcu_coefficients(n: int, theta: float) -> LcuCoefficients:
-    if n < 1:
-        raise ValueError("rank must be >= 1")
+    if not 1 <= n <= 512:  # 2^{2n-1} must be a float
+        raise ValueError(f"rank must be in 1..512 (2^(2n-1) is a float), got {n}")
     _check_theta(theta)
     m = 1 << (2 * n - 1)
     identity = 1.0 + (math.cos(theta) - 1.0) / m
@@ -93,8 +93,8 @@ def prepare_angles(n: int, theta: float) -> tuple[float, ...]:
     for 2 <= k <= 2n.  Domain membership of every argument is asserted, not
     silently clamped (violations raise AngleDomainError).
     """
-    if n < 1:
-        raise ValueError("rank must be >= 1")
+    if not 1 <= n <= 256:  # 2^{4n-2} in D_{2n} must be a float
+        raise ValueError(f"rank must be in 1..256 (2^(4n-2) is a float), got {n}")
     _check_theta(theta)
     cos_t = math.cos(theta)
     out = [_checked_arcsin(-math.sin(theta) / math.sqrt(1 << (2 * n - 1)),

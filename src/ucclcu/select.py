@@ -38,15 +38,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, Gate, apply_circuit, restrict
+from .circuit import Circuit, Gate
 from .errors import PlanningError
 from .fermion import (UccFactor, chain_qubits, excitation_pauli_sum,
                       projector_pauli_sum)
-from .pauli import PauliString, check_dense
+from .pauli import PauliString
 
 #: JSON label of the unit i^p, indexed by the Z4 exponent p
 _POWER_LABELS = ("+1", "+i", "-1", "-i")
 _QUARTER_TURNS = {1: math.pi / 2, 2: math.pi, 3: -math.pi / 2}
+_TURNS = {angle: power for power, angle in _QUARTER_TURNS.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,40 +287,62 @@ def synth_select(f: UccFactor, plan: SelectPlan | None = None,
 class SelectReport:
     max_deviation: float
     worst_code: int
-    passed: bool          # max_deviation <= 1e-10
+    passed: bool          # every code exact, max_deviation 0 (else inf)
 
 
 def verify_select(f: UccFactor, plan: SelectPlan | None = None,
                   circuit: Circuit | None = None) -> SelectReport:
-    """Check that every ancilla basis code induces exactly its code_table
-    string (target phase included) and leaves the ancilla untouched.
+    """Check that every ancilla code induces exactly its code_table string,
+    target phase included, and leaves the ancilla untouched.
 
-    Each of the 4^n codes is checked on the system register alone: the
-    circuit `restrict`ed to the code's bits is run on the 2^N identity and
-    compared with i^{t_c}·P_c.
-    Only Z, PHASE and RZ may target a code wire, so no gate moves the code;
-    any other gate there fails the check (max_deviation inf), even when a
-    later gate undoes it.  The dense cap bounds the 4^n blocks' total entries,
-    2^{2n+N} · 2^N.
+    One pass over the gates reads each code's system operator i^p X^x Z^z,
+    with x and z as bit rows per system qubit, on the codes where a gate's
+    controls fire: X on system qubit q flips x_q; Z adds 2 x_q to p, then
+    flips z_q; Y = iXZ adds 1 + 2 x_q, then flips x_q and z_q; a Z, PHASE or
+    GLOBALPHASE on the code wires adds its quarter turns (Z: 2) where its
+    target bit is 1.  These rules share nothing with `PauliString.multiply`,
+    which built the code table.  Code c passes when (x, z, p mod 4) equals
+    the masks of P_c and t_c plus its count of Y letters, i.e. i^{t_c}·P_c.
+    No float, dense array or rank limit enters: max_deviation is 0 or inf.
+    A control on a system wire, another kind on a system or code wire, or an
+    angle off the quarter turns fails the check, even if a later gate undoes it.
     """
-    check_dense(2 * f.rank + f.num_qubits, f.num_qubits, "per-code column batch")
     if plan is None:
         plan = derive_select_plan(f)
     if circuit is None:
         circuit = synth_select(f, plan)
-    targets = code_phase_targets(f, plan)
-    identity = np.eye(1 << plan.num_qubits, dtype=complex)
-    worst, worst_code = 0.0, 0
-    na = circuit.num_ancilla
-    for code in sorted(plan.code_table):
-        try:
-            block = restrict(circuit, {w: (code >> (na - 1 - w)) & 1
-                                       for w in range(na)})
-        except ValueError:
-            return SelectReport(math.inf, code, False)
-        out = apply_circuit(block, identity)
-        out -= 1j ** targets[code] * plan.code_table[code].string.to_dense()
-        deviation = float(np.linalg.norm(out, 2))
-        if deviation > worst:
-            worst, worst_code = deviation, code
-    return SelectReport(worst, worst_code, worst <= 1e-10)
+    nq, na = plan.num_qubits, plan.num_ancilla
+    if (circuit.num_ancilla, circuit.num_qubits) != (na, na + nq):
+        raise ValueError("circuit is not laid out as this plan's SELECT")
+    codes = np.arange(1 << na)
+    bits = (codes >> (na - 1 - np.arange(na))[:, None]) & 1 == 1
+    x, z = np.zeros((2, nq, codes.size), dtype=bool)
+    p = np.zeros(codes.size, dtype=np.int64)
+    for g in circuit.gates:
+        code_controls = [(q, pol) for q, pol in g.controls if q < na]
+        fires = np.ones(codes.size, dtype=bool)
+        for q, pol in code_controls:
+            fires &= bits[q] == (pol == "+")
+        on_system = bool(g.targets) and g.targets[0] >= na
+        turns = 2 if g.kind == "Z" else _TURNS.get(g.angle) \
+            if g.kind in ("PHASE", "GLOBALPHASE") else None
+        if len(code_controls) < len(g.controls) or \
+                (g.kind not in ("X", "Y", "Z") if on_system else turns is None):
+            return SelectReport(math.inf, int(np.argmax(fires)), False)
+        if not on_system:
+            p[fires & bits[g.targets[0]] if g.targets else fires] += turns
+            continue
+        q = g.targets[0] - na
+        if g.kind != "X":
+            p[fires] += 2 * x[q, fires] + (g.kind == "Y")
+            z[q, fires] ^= True
+        if g.kind != "Z":
+            x[q, fires] ^= True
+
+    table, targets = plan.code_table, code_phase_targets(f, plan)
+    letters = np.array([list(table[c].string.letters) for c in codes]).T
+    want_p = np.array([targets[c] for c in codes]) + (letters == "Y").sum(axis=0)
+    bad = (x != np.isin(letters, ("X", "Y"))).any(axis=0) | \
+        (z != np.isin(letters, ("Y", "Z"))).any(axis=0) | ((p - want_p) % 4 != 0)
+    worst = int(np.argmax(bad))
+    return SelectReport(math.inf if bad[worst] else 0.0, worst, not bad[worst])

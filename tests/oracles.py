@@ -2,10 +2,15 @@
 
 Everything here is built the slow, obvious way — Kronecker products, explicit
 basis-state loops, eigendecomposition exponentials — sharing no code with the
-package, so agreement between the two is meaningful.
+package, so agreement between the two is meaningful.  The one exception is
+`select_dense_passes`, which runs whole circuits on the package's
+statevector kernel; that kernel is itself checked against the column-by-column
+`controlled_unitary` here.
 """
 
 import numpy as np
+
+from ucclcu.circuit import apply_circuit
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -101,3 +106,21 @@ def controlled_x_rows(state: np.ndarray, width: int, target: int,
         if all((bits[q] == 1) == (pol == "+") for q, pol in controls):
             out[row] = state[row ^ (1 << (width - 1 - target))]
     return out
+
+
+def select_dense_passes(circuit, expected, tolerance: float = 1e-10) -> bool:
+    """Dense per-code reference verdict for a SELECT circuit: for each code c
+    of `expected`, the whole circuit runs on the |c>⊗I columns, and the
+    result minus |c>⊗expected[c], rows of the other codes included, must
+    have Frobenius norm (a bound on the spectral norm) within `tolerance`.
+    Nothing is fixed or restricted; the first failing code ends the check."""
+    dim = 1 << (circuit.num_qubits - circuit.num_ancilla)
+    for code, matrix in expected.items():
+        rows = slice(code * dim, (code + 1) * dim)
+        cols = np.zeros((1 << circuit.num_qubits, dim), dtype=complex)
+        cols[rows] = np.eye(dim)
+        got = apply_circuit(circuit, cols)
+        got[rows] -= matrix
+        if np.linalg.norm(got) > tolerance:
+            return False
+    return True

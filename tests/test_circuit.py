@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ucclcu.circuit import (GATE_KINDS, Circuit, Gate, apply_circuit,
-                            unitary_of)
+                            restrict, unitary_of)
 from ucclcu.errors import DimensionError, ResourceLimitError
 
 from oracles import (controlled_phase_factor, controlled_unitary,
@@ -230,6 +230,36 @@ class TestCircuitOps:
     def test_ancilla_range_validated(self):
         with pytest.raises(ValueError):
             Circuit(2, num_ancilla=3)
+
+
+class TestRestrict:
+    """restrict holds wires at |0>: the gates it keeps, strips and refuses."""
+
+    def test_held_wire_rules(self):
+        circ = Circuit(4, [
+            Gate("X", (2,), controls=((1, "+"),)),              # never fires
+            Gate("RY", (0,), 0.4, ((1, "-"), (3, "+"))),        # - stripped
+            Gate("Z", (1,), controls=((0, "+"),)),              # |0> unmoved
+            Gate("PHASE", (1,), 0.9),
+            Gate("GLOBALPHASE", (), 0.5, ((1, "-"), (2, "+"))),
+            Gate("H", (3,)),
+        ], num_ancilla=2)
+        out = restrict(circ, {1})
+        assert (out.num_qubits, out.num_ancilla) == (3, 1)
+        assert out.gates == [Gate("RY", (0,), 0.4, ((2, "+"),)),
+                             Gate("GLOBALPHASE", (), 0.5, ((1, "+"),)),
+                             Gate("H", (2,))]
+
+    @pytest.mark.parametrize("gate", [
+        Gate("X", (1,)), Gate("H", (1,), controls=((0, "-"),)),
+        Gate("RZ", (1,), 0.3), Gate("RY", (1,), 0.3)])
+    def test_other_kinds_on_a_held_wire_raise(self, gate):
+        with pytest.raises(ValueError, match="held wire 1"):
+            restrict(Circuit(2, [gate]), {1})
+        # a positive control on a held wire drops the gate first
+        assert restrict(Circuit(3, [Gate(gate.kind, gate.targets, gate.angle,
+                                         gate.controls + ((2, "+"),))]),
+                        {1, 2}).gates == []
 
 
 class TestJsonRoundTrip:

@@ -388,14 +388,24 @@ class TestErrorsAndMeta:
         assert report["grid"][0]["deviation"] == math.inf
 
     def test_postselect_bytes_do_not_follow_blas_threads(self):
-        # the kept register is 5 qubits; the oaa grid's tall leakage SVD
-        # still follows the thread count
-        argv = ("verify", "--occ", "0,2", "--virt", "5,7", "--n-qubits", "9",
-                "--theta", "0.3,0.7,2.5", "--mode", "postselect")
-        outs = [run_child(*argv, OPENBLAS_NUM_THREADS=threads)
-                for threads in ("1", "2")]
-        assert all(proc.returncode == 0 for proc in outs)
-        assert outs[0].stdout == outs[1].stdout
+        # the kept register is 5 qubits; the leakage norm comes from the
+        # eigenvalues of a small Gram matrix, so oaa's bytes hold too
+        for mode in ("postselect", "oaa"):
+            argv = ("verify", "--occ", "0,2", "--virt", "5,7", "--n-qubits",
+                    "9", "--theta", "0.3,0.7,2.5", "--mode", mode)
+            outs = [run_child(*argv, OPENBLAS_NUM_THREADS=threads)
+                    for threads in ("1", "2")]
+            assert all(proc.returncode == 0 for proc in outs)
+            assert outs[0].stdout == outs[1].stdout, mode
+
+    @pytest.mark.parametrize("argv", [
+        ("prepare-angles", "--rank", "257"),
+        ("synth", "--part", "prepare", "--rank", "513"),
+    ], ids=lambda argv: argv[0])
+    def test_float_overflowing_rank_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--theta", "0.7")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and f"got {argv[-1]}" in err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -8,8 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ucclcu.circuit import Circuit, Gate, restrict, unitary_of
-from ucclcu.errors import PlanningError, ResourceLimitError
+from oracles import kron_pauli, select_dense_passes
+from ucclcu.circuit import Circuit, Gate
+from ucclcu.errors import PlanningError
 from ucclcu.fermion import (UccFactor, chain_qubits, excitation_pauli_sum,
                             projector_pauli_sum)
 from ucclcu.select import (code_phase_targets, derive_select_plan,
@@ -216,86 +217,99 @@ class TestSynthAndVerify:
             synth_select(ADJ2, system_offset=3)
 
 
-def code_block(circuit, code):
-    """`circuit` restricted to ancilla code `code` (wire w is bit
-    num_ancilla-1-w of code), as verify_select restricts it."""
-    na = circuit.num_ancilla
-    return restrict(circuit, {w: (code >> (na - 1 - w)) & 1 for w in range(na)})
+def dense_passes(f, plan, circuit):
+    """The dense per-code reference verdict on the plan's phased strings."""
+    targets = code_phase_targets(f, plan)
+    return select_dense_passes(circuit, {
+        code: 1j ** targets[code] * kron_pauli(entry.string.letters)
+        for code, entry in plan.code_table.items()})
 
 
-def assert_blocks_match(circuit):
-    """Each code's restricted circuit is bitwise the code's diagonal block
-    of the whole circuit's unitary, and the code's columns leave no other
-    code."""
-    full = unitary_of(circuit)
-    dim = 1 << (circuit.num_qubits - circuit.num_ancilla)
-    for code in range(1 << circuit.num_ancilla):
-        rows = slice(code * dim, (code + 1) * dim)
-        block = code_block(circuit, code)
-        assert block.num_ancilla == 0
-        assert np.array_equal(unitary_of(block), full[rows, rows]), code
-        leak = full[:, rows].copy()
-        leak[rows] = 0
-        assert not leak.any(), code
+def mutated(circuit, name):
+    """`circuit` with one gate-level mutation; the first system gate is the
+    first excitation-reference gate, controlled on the sector wire."""
+    na, gates = circuit.num_ancilla, list(circuit.gates)
+    at = next(i for i, g in enumerate(gates) if g.targets and g.targets[0] >= na)
+    g, wire = gates[at], gates[at].targets[0]
+    last = max(i for i, g in enumerate(gates) if g.controls)
+    h = Gate("H", (wire,))
+    if name == "dropped control":
+        gates[at] = Gate(g.kind, g.targets)
+    elif name == "dropped last control":
+        gates[last] = Gate(gates[last].kind, gates[last].targets,
+                           gates[last].angle, gates[last].controls[:-1])
+    elif name == "swapped letter":
+        gates[at] = Gate("Y" if g.kind == "X" else "X", g.targets,
+                         controls=g.controls)
+    elif name == "phase pi/4":
+        gates.append(Gate("PHASE", (0,), math.pi / 4))
+    elif name == "quarter turn":
+        gates.append(Gate("PHASE", (na - 1,), math.pi / 2, ((0, "-"),)))
+    elif name == "H pair around a gate":
+        gates[at:at + 1] = [h, g, h]
+    elif name == "system-controlled Z":
+        gates.append(Gate("Z", (0,), controls=((na, "+"),)))
+    elif name == "undone Y pair":
+        gates += [Gate("Y", (wire,), controls=((0, "+"),))] * 2
+    elif name == "commuting swap":
+        gates[at], gates[at + 1] = gates[at + 1], gates[at]
+    return Circuit(circuit.num_qubits, gates, na)
+
+
+MUTATIONS = ["dropped control", "dropped last control", "swapped letter",
+             "phase pi/4", "quarter turn", "H pair around a gate",
+             "system-controlled Z", "undone Y pair", "commuting swap"]
 
 
 class TestCodeBlock:
+    """The exact check against the dense per-code reference, which runs the
+    whole SELECT on each code's |code>⊗I columns with nothing fixed."""
+
     @pytest.mark.parametrize("layout", [
         ((0,), (1,), 2), ((0, 1), (2, 3), 4), ((0, 2), (3, 5), 7)])
     @pytest.mark.parametrize("theta", [0.0, 0.7, -2.5, math.pi])
     def test_select_blocks_match_full_unitary(self, layout, theta):
         occ, virt, nq = layout
-        assert_blocks_match(synth_select(UccFactor(occ, virt, theta, nq)))
+        f = UccFactor(occ, virt, theta, nq)
+        plan = derive_select_plan(f)
+        circuit = synth_select(f, plan)
+        report = verify_select(f, plan, circuit)
+        assert dense_passes(f, plan, circuit)
+        assert report.passed and report.max_deviation == 0.0
 
-    def test_ancilla_phases_under_system_controls(self):
-        """Z, PHASE and RZ on code wires, under system controls of either
-        polarity or none, become exact phases on the system register."""
-        circ = Circuit(5, [
-            Gate("H", (2,)), Gate("RY", (3,), 0.4, ((0, "+"),)),
-            Gate("PHASE", (1,), 0.9, ((3, "+"),)),
-            Gate("PHASE", (0,), -1.3, ((2, "-"), (1, "+"))),
-            Gate("PHASE", (1,), 2.1),
-            Gate("RZ", (0,), 0.8, ((4, "-"),)),
-            Gate("RZ", (1,), -2.2, ((2, "+"), (0, "-"))),
-            Gate("Z", (0,), controls=((2, "-"), (3, "-"))),
-            Gate("Z", (1,), controls=((4, "+"),)),
-            Gate("Z", (0,)),
-            Gate("GLOBALPHASE", (), 0.5, ((1, "+"), (3, "-"))),
-            Gate("X", (4,), controls=((0, "-"), (1, "-"))),
-        ], num_ancilla=2)
-        assert_blocks_match(circ)
+    @pytest.mark.parametrize("f", [
+        UccFactor((0, 1, 2), (3, 4, 5), 0.7, 6),
+        UccFactor((0, 2, 4), (1, 3, 5), -2.5, 6),
+    ], ids=["adjacent", "interleaved"])
+    def test_rank3_verdict_matches_dense_reference(self, f):
+        plan = derive_select_plan(f)
+        circuit = synth_select(f, plan)
+        assert dense_passes(f, plan, circuit)
+        assert verify_select(f, plan, circuit).passed
 
-    def test_fixes_any_wire_set(self):
-        """Fixing wires 1 and 3 of five keeps the other three, renumbered in
-        order, with the one kept ancilla wire still the ancilla block; each
-        assignment gives bitwise the matching block of the whole unitary."""
-        circ = Circuit(5, [
-            Gate("H", (0,)), Gate("H", (2,)), Gate("RY", (4,), 0.4, ((1, "+"),)),
-            Gate("Z", (3,), controls=((0, "+"),)),
-            Gate("PHASE", (1,), 0.9, ((2, "-"), (3, "+"))),
-            Gate("RZ", (3,), -2.2, ((4, "+"),)),
-            Gate("X", (2,), controls=((3, "-"), (0, "+"))),
-            Gate("Z", (1,)), Gate("GLOBALPHASE", (), 0.5, ((1, "+"), (4, "-"))),
-            Gate("RX", (0,), 1.1, ((3, "+"), (2, "-"))),
-        ], num_ancilla=2)
-        full = unitary_of(circ).reshape((2,) * 10)
-        for b1 in (0, 1):
-            for b3 in (0, 1):
-                block = restrict(circ, {1: b1, 3: b3})
-                assert (block.num_qubits, block.num_ancilla) == (3, 1)
-                sub = full[:, b1, :, b3, :, :, b1, :, b3, :].reshape(8, 8)
-                assert np.array_equal(unitary_of(block), sub), (b1, b3)
-                other = full[:, b1, :, 1 - b3, :, :, b1, :, b3, :]
-                assert not other.any()
+    @pytest.mark.parametrize("name", MUTATIONS)
+    @pytest.mark.parametrize("f", [
+        UccFactor((0,), (1,), 0.7, 2),
+        UccFactor((0, 2), (1, 3), -2.5, 4),
+        UccFactor((0, 1), (4, 6), 0.7, 7),
+        UccFactor((0, 1, 2), (3, 4, 5), 0.7, 6),
+    ], ids=["rank1", "rank2-interleaved", "rank2-gapped", "rank3"])
+    def test_mutation_verdict_matches_dense_reference(self, f, name):
+        plan = derive_select_plan(f)
+        circuit = mutated(synth_select(f, plan), name)
+        report = verify_select(f, plan, circuit)
+        assert report.passed == dense_passes(f, plan, circuit)
+        assert report.passed == (name in ("undone Y pair", "commuting swap"))
+        assert report.max_deviation == (0.0 if report.passed else math.inf)
 
-    def test_restricted_phases_are_exact(self):
-        circ = Circuit(3, [Gate("PHASE", (0,), 0.9, ((1, "-"), (2, "+")))],
-                       num_ancilla=1)
-        assert code_block(circ, 0).gates == []
-        np.testing.assert_array_equal(unitary_of(code_block(circ, 1)),
-                                      np.diag([1, np.exp(0.9j), 1, 1]))
-        circ = Circuit(2, [Gate("Z", (0,))], num_ancilla=1)
-        np.testing.assert_array_equal(unitary_of(code_block(circ, 1)), -np.eye(2))
+    def test_undone_h_pair_is_refused_though_dense_passes(self):
+        """The one deliberate difference: H is not a Pauli, so an H pair on a
+        system wire is refused even though it multiplies to the identity."""
+        plan = derive_select_plan(ADJ2)
+        circuit = synth_select(ADJ2, plan)
+        circuit.extend([Gate("H", (5,)), Gate("H", (5,))])
+        assert dense_passes(ADJ2, plan, circuit)
+        assert verify_select(ADJ2, plan, circuit).max_deviation == math.inf
 
     @pytest.mark.parametrize("extra", [
         [Gate("H", (0,))], [Gate("RY", (1,), 0.3)],
@@ -305,11 +319,14 @@ class TestCodeBlock:
         plan = derive_select_plan(ADJ2)
         circ = synth_select(ADJ2, plan)
         circ.extend(extra)
-        with pytest.raises(ValueError):
-            code_block(circ, 0)
         report = verify_select(ADJ2, plan, circuit=circ)
         assert not report.passed
         assert report.max_deviation == math.inf
+
+    def test_foreign_layout_is_refused(self):
+        circuit = synth_select(ADJ2, system_offset=5)
+        with pytest.raises(ValueError, match="laid out"):
+            verify_select(ADJ2, circuit=circuit)
 
 
 @functools.lru_cache(maxsize=None)
@@ -341,20 +358,34 @@ FIXUP_LAYOUTS = [
     ((0, 1, 2, 3, 4, 5), (6, 7, 8, 9, 10, 11), 12),
 ]
 FIXUP_THETAS = [0.0, 1e-20, math.pi, -math.pi, 2 * math.pi, 0.7, -2.5]
+GRID_THETAS = [0.0, 0.7, -0.7, math.pi / 2, -math.pi / 2, 2.5, -2.5, math.pi]
 
 
-class TestDenseGuard:
-    def test_rank5_batch_refused_before_allocating(self):
-        # each code's batch would be 2^20 x 2^10 complex entries (16 GiB)
-        f = UccFactor(tuple(range(5)), tuple(range(5, 10)), 0.5, 10)
+class TestPastTheDenseCap:
+    """No dense array, so no rank limit: ranks 4-6 and wide registers pass
+    in one pass over the gates."""
+
+    @pytest.mark.parametrize("layout", [
+        ((0, 1, 2, 3), (4, 5, 6, 7), 8),
+        ((0, 2, 4, 6, 8), (1, 3, 5, 7, 9), 10),
+        ((0, 1, 3, 4, 6, 7), (9, 10, 12, 13, 15, 16), 18),
+        ((0, 5, 9), (14, 20, 29), 30),
+    ], ids=["rank4-adjacent", "rank5-interleaved", "rank6-gapped", "rank3-n30"])
+    def test_passes_without_a_dense_array(self, layout):
+        plan = plan_for(*layout)
+        for theta in GRID_THETAS:
+            f = UccFactor(layout[0], layout[1], theta, layout[2])
+            report = verify_select(f, plan, synth_select(f, plan))
+            assert report.passed and report.max_deviation == 0.0, theta
+        # the dense route's rank-5 batch alone was 16 GiB
+        circuit = synth_select(f, plan)
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceLimitError, match="exceeds the cap"):
-                verify_select(f)
+            verify_select(f, plan, circuit)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20
+        assert peak < 4 << 20
 
 
 class TestPhasePolynomial:
