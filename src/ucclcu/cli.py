@@ -214,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="end-to-end check over a theta grid")
     _add_factor_args(p, with_theta=False)
     p.add_argument("--theta", type=_float_list, required=True,
-                   help="comma-separated theta grid (radians)")
+                   help="comma-separated theta grid (radians); a grid that "
+                        "starts negative takes the = form, --theta=-1,0.3")
     p.add_argument("--mode", choices=("postselect", "oaa"), default="oaa")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", default=None, help="also write the JSON report here")

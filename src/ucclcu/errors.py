@@ -6,7 +6,8 @@ class DimensionError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A dense array larger than the dense cap (see pauli.check_dense)."""
+    """A request past a size cap: a dense array past the dense cap (see
+    pauli.check_dense) or a SELECT code table past rank 8."""
 
 
 class AngleDomainError(ValueError):

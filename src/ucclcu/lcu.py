@@ -24,7 +24,7 @@ from .circuit import Circuit, Gate, apply_circuit, restrict
 from .fermion import UccFactor, chain_qubits, exact_unitary
 from .pauli import check_dense
 from .prepare import lcu_coefficients, synth_prepare
-from .select import derive_select_plan, synth_select
+from .select import synth_select
 
 #: pad engages above this surplus; below it the s_m mismatch is float dust
 _PAD_THRESHOLD = 5e-13
@@ -51,42 +51,31 @@ def assemble_w(f: UccFactor, s_target: float | None = None) -> Circuit:
     on it and loads +c extra on the identity code, and a Z on the pad wire
     gives the pad branch -c.  The identity contributions cancel and the
     one-norm becomes s_target.  The Z needs no controls: with B off, the pad
-    branch keeps the main bank at all zeros, which the X alignment maps to
-    the identity code.
-
-    PREPARE places the identity coefficient on the all-zeros code while the
-    plan maps plan.identity_code to the identity string, so SELECT is
-    conjugated by X gates on the set bits of identity_code.
+    branch keeps the main bank at all zeros, the code on which PREPARE loads
+    the identity coefficient and which SELECT maps to the identity string.
     """
     n = f.rank
     na = 2 * n
-    plan = derive_select_plan(f)
     c = 0.0 if s_target is None else \
         _pad_weight(lcu_coefficients(n, f.theta).s_one_norm, s_target)
     pad = 1 if c else 0
     prep = synth_prepare(n, f.theta, identity_offset=c).gates
-    select = synth_select(f, plan, system_offset=na + pad)
-    code = [(w, "+" if (plan.identity_code >> (na - 1 - w)) & 1 else "-")
-            for w in range(na)]
+    select = synth_select(f, system_offset=na + pad)
     if pad:
         prep = [Gate("RY", (na,), 2.0 * math.asin(math.sqrt(c / s_target)))] + \
             [Gate(g.kind, g.targets, g.angle, g.controls + ((na, "-"),))
              for g in prep]
         select.append(Gate("Z", (na,)))
-    align = [Gate("X", (w,)) for w, pol in code if pol == "+"]
     circ = Circuit(select.num_qubits, num_ancilla=select.num_ancilla)
-    circ.extend(prep + align + select.gates + align)
-    circ.extend(g.inverse() for g in reversed(prep))
+    circ.extend(prep + select.gates + [g.inverse() for g in reversed(prep)])
     return circ
 
 
 def reflection_on_ancilla(num_ancilla: int) -> list[Gate]:
-    """R = 1 - 2|0..0><0..0| on the ancilla block, as X · (anticontrolled
-    PHASE(pi)) · X on wire 0."""
-    controls = tuple((q, "-") for q in range(1, num_ancilla))
-    return [Gate("X", (0,)),
-            Gate("PHASE", (0,), math.pi, controls),
-            Gate("X", (0,))]
+    """R = 1 - 2|0..0><0..0| on the ancilla block: one GLOBALPHASE(pi)
+    anticontrolled on every ancilla wire, the shape of SELECT's code-0 phase."""
+    return [Gate("GLOBALPHASE", (), math.pi,
+                 tuple((q, "-") for q in range(num_ancilla)))]
 
 
 @dataclass

@@ -1,13 +1,13 @@
 """SELECT synthesis: map each ancilla code to its Pauli string.
 
 Scheme (generalizing the rank-2 construction to arbitrary rank): the ancilla
-bank has 2n wires, wire 0 being the sector qubit.  Two reference strings are
-applied first — the excitation reference (Y on the highest active orbital,
-X on every other active orbital, Z on the idle chain qubits; the
-lexicographically least string of the off-diagonal sector) positively
-controlled on the sector wire, and the diagonal reference Z_{o_n} Z_{v_1}
-anticontrolled on it.  Then 2n-1 steps follow, each a weight-2 Z mask applied
-under a positive control on one code wire:
+bank has 2n wires, wire 0 being the sector qubit.  The excitation reference
+(Y on the highest active orbital, X on every other active orbital, Z on the
+idle chain qubits; the lexicographically least string of the off-diagonal
+sector) is applied first, positively controlled on the sector wire; the
+diagonal sector starts from the identity, so code 0 selects I.  Then 2n-1
+steps follow, each a weight-2 Z mask applied under a positive control on one
+code wire:
 
     wire 1          ->  Z_{o_n} Z_{v_1}        (the sector-flip mask)
     wires 2..n      ->  Z_{o_t} Z_{o_{t+1}}    (occupied adjacent pairs)
@@ -25,10 +25,11 @@ powers of i, which the plan stores as Z4 exponents, so the fix-up is a
 Z4-valued function of the 2n code bits, synthesized as a phase polynomial
 (Amy, Maslov, Mosca, arXiv:1303.2042): a Moebius transform over the code
 bits gives one PHASE(g pi/2) per monomial, controlled on the monomial's
-other wires.  Within each sector the function is affine; only the identity
-code breaks that, and it gets one mixed-polarity phase of its own.
-At generic theta that is three gates (two at rank 1): S or S† on the sector
-wire, Z on wire 1 and PHASE(pi) with 2n-1 controls on the identity code.
+other wires.  Within each sector the function is affine; only code 0 breaks
+that, and it gets one GLOBALPHASE anticontrolled on every code wire.  At
+generic theta that is four gates from rank 2 on: the code-0 phase, an
+uncontrolled GLOBALPHASE(pi), S or S† on the sector wire and Z on wire 1;
+rank 1 needs two, S or S† and a CZ.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .errors import PlanningError
+from .errors import PlanningError, ResourceLimitError
 from .fermion import (UccFactor, chain_qubits, excitation_pauli_sum,
                       projector_pauli_sum)
 from .pauli import PauliString
@@ -48,6 +49,8 @@ from .pauli import PauliString
 _POWER_LABELS = ("+1", "+i", "-1", "-i")
 _QUARTER_TURNS = {1: math.pi / 2, 2: math.pi, 3: -math.pi / 2}
 _TURNS = {angle: power for power, angle in _QUARTER_TURNS.items()}
+#: the code table holds 4^n entries; planning takes seconds at rank 8
+_MAX_RANK = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,10 +73,8 @@ class SelectPlan:
     virtuals: tuple[int, ...]
     chains: tuple[int, ...]
     xy_reference: PauliString
-    iz_reference: PauliString
     masks: tuple[PauliString, ...]
     code_table: dict[int, CodeEntry] = field(repr=False)
-    identity_code: int
 
     @property
     def num_ancilla(self) -> int:
@@ -89,8 +90,6 @@ class SelectPlan:
             "chain_qubits": list(self.chains),
             "sector_qubit": 0,
             "xy_reference": self.xy_reference.letters,
-            "iz_reference": self.iz_reference.letters,
-            "identity_code": format(self.identity_code, f"0{na}b"),
             "steps": [{"wire": wire, "polarity": "+", "mask": mask.letters}
                       for wire, mask in enumerate(self.masks, start=1)],
             "code_table": [
@@ -103,13 +102,18 @@ class SelectPlan:
 
 
 def derive_select_plan(f: UccFactor) -> SelectPlan:
-    """Choose references and Z-masks and tabulate all 2^{2n} codes.
+    """Choose the reference and Z-masks and tabulate all 2^{2n} codes.
 
     The plan is verified internally against the symbolic expansion (sector
     bijections, mask weights, units that are powers of i) before being
     returned; a failure raises PlanningError carrying the offending string.
+    Past rank 8 the code table is refused with ResourceLimitError.
     """
     n, nq = f.rank, f.num_qubits
+    if n > _MAX_RANK:
+        raise ResourceLimitError(
+            f"rank {n} needs a SELECT code table of 4^{n} = {4 ** n} codes; "
+            f"the code table is capped at rank {_MAX_RANK}")
     na = 2 * n
     occ, vir = sorted(f.occupied), sorted(f.virtuals)
     chains = tuple(chain_qubits(f))
@@ -119,7 +123,6 @@ def derive_select_plan(f: UccFactor) -> SelectPlan:
         ("Y" if q == max(actives) else "X") if q in actives
         else ("Z" if q in chains else "I")
         for q in range(nq)))
-    iz_ref = PauliString.z_on(nq, [occ[-1], vir[0]])
 
     # edges of the path o_1 .. o_n - v_1 .. v_n, the sector flip (o_n, v_1) first
     edges = [(occ[-1], vir[0])] + list(zip(occ, occ[1:])) + list(zip(vir, vir[1:]))
@@ -133,10 +136,9 @@ def derive_select_plan(f: UccFactor) -> SelectPlan:
     projector = projector_pauli_sum(f)
 
     code_table: dict[int, CodeEntry] = {}
-    identity_code = None
     for code in range(1 << na):
         sector = (code >> (na - 1)) & 1
-        word = xy_ref if sector else iz_ref
+        word = xy_ref if sector else PauliString.identity(nq)
         for w in range(na - 1, 0, -1):  # circuit time order; masks commute
             if (code >> (na - 1 - w)) & 1:
                 word = masks[w - 1].multiply(word)
@@ -151,8 +153,6 @@ def derive_select_plan(f: UccFactor) -> SelectPlan:
             raise PlanningError(f"coefficient unit {unit!r} is not a power of i",
                                 word.bare().letters)
         code_table[code] = CodeEntry(word.bare(), word.phase_power, powers[0])
-        if word.bare().is_identity():
-            identity_code = code
 
     for sector, source in ((1, excitation), (0, projector)):
         reached = {e.string.key() for c, e in code_table.items()
@@ -163,23 +163,21 @@ def derive_select_plan(f: UccFactor) -> SelectPlan:
             label = PauliString(nq, *next(iter(missing))).letters if missing else "?"
             raise PlanningError("sector code map is not a bijection", label)
 
-    if identity_code is None:  # the diagonal sector always contains I
-        raise PlanningError("no code maps to the identity string")
-    return SelectPlan(n, nq, tuple(occ), tuple(vir), chains, xy_ref, iz_ref,
-                      masks, code_table, identity_code)
+    return SelectPlan(n, nq, tuple(occ), tuple(vir), chains, xy_ref, masks,
+                      code_table)
 
 
 def code_phase_targets(f: UccFactor, plan: SelectPlan) -> dict[int, int]:
     """Z4 power p_c of the coefficient unit i^p_c that code c must carry:
     coeff_power, plus 2 where sin theta (excitation sector) or cos theta - 1
     (diagonal sector) is negative; 0 for a zero coefficient and for the
-    identity code, whose coefficient 1 + (cos theta - 1)/2^{2n-1} is >= 0."""
+    identity code 0, whose coefficient 1 + (cos theta - 1)/2^{2n-1} is >= 0."""
     na = plan.num_ancilla
     sin_theta, cos_minus_one = math.sin(f.theta), math.cos(f.theta) - 1.0
     out = {}
     for code, entry in plan.code_table.items():
         trig = sin_theta if (code >> (na - 1)) & 1 else cos_minus_one
-        if trig == 0.0 or code == plan.identity_code:
+        if trig == 0.0 or code == 0:
             out[code] = 0
         else:
             out[code] = (entry.coeff_power + (2 if trig < 0 else 0)) % 4
@@ -214,10 +212,10 @@ def _phase_fixups(f: UccFactor, plan: SelectPlan) -> list[Gate]:
 
     The Z4 exponent of each code is a polynomial over the 2n code bits
     (Amy, Maslov, Mosca, arXiv:1303.2042).  Within a sector it is affine, and
-    the identity code alone breaks that (its coefficient keeps sign +1 while
+    the identity code 0 alone breaks that (its coefficient keeps sign +1 while
     its sector takes sign(cos theta - 1)), so that code is peeled off first as
-    one mixed-polarity phase, with the residue that leaves the fewest
-    monomials.  Each remaining monomial S with coefficient g_S becomes a
+    one all-anticontrolled GLOBALPHASE, with the residue that leaves the
+    fewest monomials.  Each remaining monomial S with coefficient g_S becomes a
     PHASE(g_S pi/2) on one wire of S, positively controlled on the rest; the
     empty monomial is a GLOBALPHASE.
     """
@@ -226,19 +224,14 @@ def _phase_fixups(f: UccFactor, plan: SelectPlan) -> list[Gate]:
     poly = _mobius_z4(np.array(
         [(targets[code] - plan.code_table[code].phase_power) % 4
          for code in range(1 << na)], dtype=np.int64), na)
-    spike = np.zeros(1 << na, dtype=np.int64)
-    spike[plan.identity_code] = 1
-    spike = _mobius_z4(spike, na)
+    spike = _mobius_z4((np.arange(1 << na) == 0).astype(np.int64), na)
     peel = min(range(4), key=lambda r:
                np.count_nonzero((poly - r * spike) % 4) + (r != 0))
     poly = (poly - peel * spike) % 4
 
     gates = []
     if peel:
-        code = plan.identity_code
-        gates.append(_phase_gate(
-            [(w, "+" if (code >> (na - 1 - w)) & 1 else "-") for w in range(na)],
-            peel))
+        gates.append(_phase_gate([(w, "-") for w in range(na)], peel))
     for mono in np.flatnonzero(poly):
         gates.append(_phase_gate(
             [(w, "+") for w in range(na) if (mono >> (na - 1 - w)) & 1],
@@ -251,10 +244,9 @@ def synth_select(f: UccFactor, plan: SelectPlan | None = None,
     """Emit the SELECT circuit on 2n ancilla + N system qubits.
 
     Gate order: sector-controlled excitation reference (chain Z's first, then
-    the active-orbital letters), anticontrolled diagonal reference, the step
-    masks from the highest code wire down, then the phase fix-ups: the
-    identity-code phase, if any, and one gate per monomial of the phase
-    polynomial in ascending code order.
+    the active-orbital letters), the step masks from the highest code wire
+    down, then the phase fix-ups: the code-0 phase, if any, and one gate per
+    monomial of the phase polynomial in ascending code order.
 
     system_offset places the system register (defaults to right after the 2n
     ancilla wires; the amplification assembler passes 2n+1 to leave room for
@@ -273,8 +265,6 @@ def synth_select(f: UccFactor, plan: SelectPlan | None = None,
     for q in sorted(set(plan.occupied) | set(plan.virtuals)):
         kind = plan.xy_reference.letters[q]
         circ.append(Gate(kind, (off + q,), controls=((0, "+"),)))
-    for q in sorted(plan.iz_reference.support()):
-        circ.append(Gate("Z", (off + q,), controls=((0, "-"),)))
     for wire in range(na - 1, 0, -1):
         for q in sorted(plan.masks[wire - 1].support()):
             circ.append(Gate("Z", (off + q,), controls=((wire, "+"),)))

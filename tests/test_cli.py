@@ -88,9 +88,10 @@ class TestPlan:
         assert d["provenance"]["version"] == __version__
         assert d["provenance"]["command"] == "ucclcu plan --occ 0,1 --virt 2,3"
         assert d["xy_reference"] == "XXXY"
-        assert d["iz_reference"] == "IZZI"
-        assert d["identity_code"] == "0100"
+        assert not {"iz_reference", "identity_code"} & set(d)
         assert len(d["code_table"]) == 16
+        strings = {e["code"]: e["string"] for e in d["code_table"]}
+        assert (strings["0000"], strings["0100"]) == ("IIII", "IZZI")
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "plan.json"
@@ -181,6 +182,18 @@ class TestVerify:
         assert code == 0
         assert all(g["deviation"] <= 1e-14 for g in json.loads(out)["grid"])
 
+    def test_negative_first_grid_takes_the_equals_form(self, capsys):
+        # argparse reads "-1,0.3" after a space as an option, not a value
+        code, out, _ = run(capsys, "verify", "--rank", "1", "--theta=-1,0.3")
+        assert code == 0
+        assert [g["theta"] for g in json.loads(out)["grid"]] == [-1.0, 0.3]
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--rank", "1", "--theta", "-1,0.3"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run(capsys, "synth", "--part", "prepare", "--rank", "1",
+                           "--theta", "-1")
+        assert code == 0 and json.loads(out)["gates"]
 
     @pytest.mark.parametrize("argv", [
         ("--theta", ","),
@@ -246,37 +259,37 @@ LAYOUT = "--occ 0,2 --virt 3,5 --n-qubits 7"
 # pi/2^k
 PINNED_DIGESTS = {
     "plan --rank 1":
-        "8c67c3e928a33a3f34821fad06b563e7289011ba40bc8632dbb845cee6376599",
+        "e74f9b0508d481f5e39d5384824d31660edf5ab03a7e77516f32a8ae2ec8db83",
     "plan --rank 2":
-        "ce0d00ec9d2902e3da9b6a2bcfa4a51a71529d316fe7be29be4ae527335350e4",
+        "140a4d29a26b48c15717fc3b112069412eaddaa21f3a5e0f99347198861426e6",
     "plan --rank 3":
-        "1fcc2b716db3076facc126e51a74228b87eb6cb90151d57ebf91eed7d51c9fa0",
+        "4b0b4b32b82e80fbd795319077e9bcb61abb260c3902198a487d386d53a70b94",
     f"plan {LAYOUT}":
-        "494b63fa5e1f9c6b94cfb3fe60a0fb3a6fb16e3001783b974715a150cb4880e5",
+        "9b9cfd1df59cb96e5ef45e6f791dfc8925296243d6d561ac9edd228f58462a1e",
     "synth --part select --rank 2 --theta 0":
-        "bb272d823a3904de6336e8ee8b186c807596d694c52186c77b29cf96f652d19f",
+        "d1911e981d7fe533c9c39cae07f5947d19b72717c6074767b3079743e344a77d",
     "synth --part select --rank 2 --theta 0 --qasm":
-        "3eaafea8c6397038e4bc562fc43ff67f96010e2527acbc74ef771a239b40a064",
+        "39abe98dac1b4285f23ad6cf7a3f578235276a08a3e9003efdea96b6d9373c0f",
     "synth --part select --rank 2 --theta 0.7":
-        "abd7bec5c4d62b1473c4427016ed623304f3c0780740fffd7721d1e0ef1570d0",
+        "d9622124bc86e84f32178c98e822ad548b17bca85f355d3d7bf978d9a3b469cf",
     "synth --part select --rank 2 --theta 0.7 --qasm":
-        "f6bbec60ec4f934d68392d7751b81de9c3e6abc93a3044b9e421d1b139d0eac0",
+        "14f4cc822a3c3eb41316300036e0b0fe91690d55e441a1937ff89aa4ad4cbb5f",
     "synth --part select --rank 2 --theta -2.5":
-        "315a37dcb3a0aac5ba768610e55cfda6f961bdb41645f5b679ccf05d30f549bd",
+        "2c1f4316aeb701daab5d8a69a7cb80eee56d5418438b606c716f2d77f4d349c0",
     "synth --part select --rank 2 --theta -2.5 --qasm":
-        "2e762cb2124fef6407412e8e1ed45514b49a246cbcde288ffc2d2831b350e661",
+        "8b161c7692817b38709a302ee9042c47bd2613d1c06239bc783ad57e1a53324a",
     f"synth --part select {LAYOUT} --theta 0":
-        "4721744c163c59f74cf584375f366b9f803dab5b1a4f7b19ac7a7db7c00cc3c9",
+        "9c3a407dd440b5d7d323573b8572676c1c21e122b642c7afb2678eb274ec8532",
     f"synth --part select {LAYOUT} --theta 0 --qasm":
-        "6e75f16c0795571390454bf2df7df4f87e33add31bc4d21c0b032dd85dc7e8e7",
+        "e39357e73c49e3a03fe782984f773cd2b1f369d290f1459435312c6bfc25fb6a",
     f"synth --part select {LAYOUT} --theta 0.7":
-        "0f2673ff754097d1326de9015c109cfd0621f6c8333f591ddc09f9f7969ae3fd",
+        "1246753d7f4f297a61a02e6efdf02f7b49d36a016bc9071adf9517478f1b2dcb",
     f"synth --part select {LAYOUT} --theta 0.7 --qasm":
-        "728528634a9e031f63dce9050d84a216128e1365b7956c2b5a419755f888c1c5",
+        "1c6f63b2bc1156548c22347a79e8baf4cbf8876eee3e4968781ec684a416b61b",
     f"synth --part select {LAYOUT} --theta -2.5":
-        "78c29e0787a8c04bb02f8ed51f2bb628803468e302ebc7aa54e13b1a09d98ae0",
+        "8696b0a0b993f553f95ab9089a06640dc25c3663e467aae2f646e1d46c9ec1d2",
     f"synth --part select {LAYOUT} --theta -2.5 --qasm":
-        "5f1c8258466d8eddcb2bd5ae4ac67c1fd1e65bda41d4e17c981ba1143a5b0ffa",
+        "199fdc3c8cc6646e2d3325eb9df1361f32b8c3f54403593e2a4b6b3fdab64689",
     "synth --part prepare --rank 3 --theta 0":
         "01046fcbdc0b1a67bff4bcb2673f950528c5897f8da9fc195d9a0a83fdb3a7ed",
     "synth --part prepare --rank 3 --theta 0 --qasm":
@@ -397,6 +410,26 @@ class TestErrorsAndMeta:
                     for threads in ("1", "2")]
             assert all(proc.returncode == 0 for proc in outs)
             assert outs[0].stdout == outs[1].stdout, mode
+
+    @pytest.mark.parametrize("argv", [
+        ("plan", "--rank", "9"),
+        ("synth", "--part", "select", "--rank", "9", "--theta", "0.7"),
+        ("synth", "--part", "w", "--rank", "9", "--theta", "0.7"),
+        ("synth", "--part", "oaa", "--rank", "9", "--theta", "0.7"),
+        ("verify", "--rank", "9", "--theta", "0.7"),
+    ], ids=lambda argv: " ".join(argv[:3]))
+    def test_code_table_past_rank_eight_exits_two(self, capsys, argv):
+        # 4^9 codes; rank 8 already takes seconds to plan
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "code table" in err
+
+    def test_rank_nine_prepare_and_count_unaffected(self, capsys):
+        code, out, _ = run(capsys, "synth", "--part", "prepare", "--rank", "9",
+                           "--theta", "0.7")
+        assert code == 0 and json.loads(out)["num_qubits"] == 18
+        code, out, _ = run(capsys, "count", "--rank-max", "9")
+        assert code == 0 and out.splitlines()[-1].startswith("9,")
 
     @pytest.mark.parametrize("argv", [
         ("prepare-angles", "--rank", "257"),

@@ -19,7 +19,8 @@ from ucclcu.lcu import (_PAD_THRESHOLD, ancilla_zero_block, assemble_w,
                         exact_amplification_one_norm, pad_and_synth_oaa,
                         phase_aligned_deviation, reflection_on_ancilla,
                         verify_end_to_end)
-from ucclcu.prepare import lcu_coefficients
+from ucclcu.prepare import lcu_coefficients, synth_prepare
+from ucclcu.select import derive_select_plan, synth_select
 
 THETAS = [-0.3, 0.3, math.pi / 4, 1.0, math.pi / 2, 2.5]
 
@@ -56,16 +57,35 @@ class TestAssembleW:
         assert leakage == pytest.approx(math.sqrt(1.0 - 1.0 / s ** 2),
                                         abs=1e-12)
 
-    def test_alignment_x_gates(self):
-        w = assemble_w(standard_factor(2, 0.7))
-        bare_x = [g for g in w.gates if g.kind == "X" and not g.controls
-                  and g.angle is None]
-        # identity code 0100 has one set bit, conjugated on both sides
-        assert len(bare_x) == 2
-        assert {g.targets[0] for g in bare_x} == {1}
+    @pytest.mark.parametrize("f", [standard_factor(1, 0.8),
+                                   standard_factor(2, 0.7),
+                                   UccFactor((0, 1), (4, 6), -2.5, 7)])
+    def test_w_is_prepare_select_unprepare(self, f):
+        # PREPARE loads the identity weight on code 0 and SELECT maps code 0
+        # to the identity string, so nothing sits between them
+        prep = synth_prepare(f.rank, f.theta).gates
+        unprep = [g.inverse() for g in reversed(prep)]
+        assert assemble_w(f).gates == prep + synth_select(f).gates + unprep
+
+    def test_padded_w_adds_only_the_pad_gates(self):
+        f = standard_factor(2, 0.7)
+        s = lcu_coefficients(2, 0.7).s_one_norm
+        c = (2.0 - s) / 2
+        na = 4
+        prep = [Gate("RY", (na,), 2.0 * math.asin(math.sqrt(c / 2.0)))] + [
+            Gate(g.kind, g.targets, g.angle, g.controls + ((na, "-"),))
+            for g in synth_prepare(2, 0.7, identity_offset=c).gates]
+        select = synth_select(f, system_offset=na + 1).gates
+        unprep = [g.inverse() for g in reversed(prep)]
+        assert assemble_w(f, s_target=2.0).gates == \
+            prep + select + [Gate("Z", (na,))] + unprep
 
 
 class TestReflection:
+    def test_one_zero_code_phase(self):
+        assert reflection_on_ancilla(3) == [Gate(
+            "GLOBALPHASE", (), math.pi, ((0, "-"), (1, "-"), (2, "-")))]
+
     @pytest.mark.parametrize("num_ancilla,width", [(1, 2), (2, 3), (3, 5)])
     def test_reflects_ancilla_vacuum(self, num_ancilla, width):
         circ = Circuit(width, reflection_on_ancilla(num_ancilla))
@@ -275,7 +295,7 @@ class TestSpectatorReduction:
                  None if g.angle is None else f"{g.angle:.12g}",
                  [list(c) for c in g.controls]] for g in r.gates]])
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
-            "39ab7f9502c492c507f36a96c7440f022807cd59bdd53575bea88fc17c0c47fa"
+            "c7e4d8bce0d7388e44d2fd87f4a1f260389f372ff410e6122e31af0ff5750259"
 
     def test_grid_has_padded_and_unpadded_circuits(self):
         pads = {pad_and_synth_oaa(UccFactor(occ, virt, theta, nq)).pad_qubits
@@ -296,6 +316,35 @@ class TestSpectatorReduction:
         r = verify_end_to_end(f, mode=mode)
         assert not r.passed
         assert r.deviation == math.inf
+
+
+# adjacent at ranks 1-5, the spectator grid, and gapped and interleaved
+# layouts at ranks 3-5
+LONG_GATE_LAYOUTS = [
+    (tuple(range(n)), tuple(range(n, 2 * n)), 2 * n) for n in range(1, 6)
+] + SPECTATOR_LAYOUTS + [
+    ((0, 2, 4), (1, 3, 5), 6),
+    ((0, 2, 3, 5), (6, 9, 10, 12), 13),
+    ((0, 2, 4, 6, 8), (1, 3, 5, 7, 9), 10),
+]
+LONG_GATE_THETAS = [0.0, 1e-20, 0.7, -0.7, math.pi / 2, -math.pi / 2, 2.5,
+                    -2.5, 3.0, math.pi, -math.pi, 2 * math.pi]
+
+
+@pytest.mark.parametrize("layout", LONG_GATE_LAYOUTS,
+                         ids=lambda l: f"{l[0]}-{l[1]}-N{l[2]}")
+def test_long_gates_are_zero_code_phases(layout):
+    """Every gate of W or OAA with three or more controls is a reflection
+    or SELECT's code-0 phase: GLOBALPHASE(±pi) on negative controls only."""
+    occ, virt, nq = layout
+    for theta in LONG_GATE_THETAS:
+        f = UccFactor(occ, virt, theta, nq)
+        for circuit in (assemble_w(f), pad_and_synth_oaa(f).oaa_circuit):
+            for g in circuit.gates:
+                if len(g.controls) >= 3:
+                    assert g.kind == "GLOBALPHASE" and \
+                        abs(g.angle) == math.pi, (theta, g)
+                    assert {pol for _, pol in g.controls} == {"-"}, (theta, g)
 
 
 @st.composite
@@ -334,7 +383,9 @@ class TestRandomLayouts:
     @settings(max_examples=25, deadline=None)
     def test_both_modes_pass(self, layout, theta):
         occ, virt, nq = layout
-        assert_both_modes_pass(UccFactor(occ, virt, theta, nq))
+        f = UccFactor(occ, virt, theta, nq)
+        assert derive_select_plan(f).code_table[0].string.is_identity()
+        assert_both_modes_pass(f)
 
     @pytest.mark.parametrize("offset,pad", [(-1e-6, 0), (1e-6, 0),
                                             (-2e-6, 1), (2e-6, 1)])

@@ -32,7 +32,6 @@ class TestRank2Fixtures:
 
     def test_reference_strings(self):
         assert self.plan.xy_reference.letters == "XXXY"
-        assert self.plan.iz_reference.letters == "IZZI"
         assert self.plan.to_json_dict()["sector_qubit"] == 0
 
     def test_step_masks(self):
@@ -45,8 +44,8 @@ class TestRank2Fixtures:
     def test_code_endpoints(self):
         table = self.plan.code_table
         assert table[0b1000].string.letters == "XXXY"
-        assert table[0b0100].string.letters == "IIII"
-        assert self.plan.identity_code == 0b0100
+        assert table[0b0000].string.letters == "IIII"
+        assert table[0b0100].string.letters == "IZZI"
 
     def test_sixteen_codes(self):
         assert len(self.plan.code_table) == 16
@@ -85,9 +84,9 @@ class TestPlanGeneral:
     def test_rank1_plan(self):
         plan = derive_select_plan(UccFactor((0,), (1,), 1.1, 2))
         assert plan.xy_reference.letters == "XY"
-        assert plan.iz_reference.letters == "ZZ"
-        assert plan.identity_code == 0b01
         assert [m.letters for m in plan.masks] == ["ZZ"]
+        assert [plan.code_table[c].string.letters for c in range(4)] == \
+            ["II", "ZZ", "XY", "YX"]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sector_bijection(self, n):
@@ -119,7 +118,7 @@ class TestPlanGeneral:
         assert plan.chains == (5,)
         assert chain_qubits(GAP2) == [5]
         assert plan.xy_reference.letters == "XXIIXZY"
-        assert plan.iz_reference.letters == "IZIIZII"
+        assert plan.code_table[0].string.letters == "IIIIIII"
 
     def test_deterministic_json(self):
         a = json.dumps(derive_select_plan(ADJ2).to_json_dict(), sort_keys=True)
@@ -128,7 +127,9 @@ class TestPlanGeneral:
 
     def test_json_shape(self):
         d = derive_select_plan(ADJ2).to_json_dict()
-        assert d["identity_code"] == "0100"
+        assert not {"iz_reference", "identity_code"} & set(d)
+        assert d["code_table"][0]["code"] == "0000"
+        assert d["code_table"][0]["string"] == "IIII"
         assert {"code", "string", "phase", "coeff_unit"} == set(
             d["code_table"][0])
         assert all(len(e["code"]) == 4 for e in d["code_table"])
@@ -191,19 +192,18 @@ class TestSynthAndVerify:
         assert len(step_gates) == 6  # 2 per mask, 2n-1 masks
         assert all(len(g.controls) == 1 for g in step_gates)
 
-    def test_reference_controls_split_by_sector(self):
+    def test_only_the_excitation_reference_sits_on_the_sector_wire(self):
+        # the diagonal sector starts from the identity: no system gate is
+        # anticontrolled on the sector wire
         plan = derive_select_plan(GAP2)
         circ = synth_select(GAP2, plan)
         sector = plan.to_json_dict()["sector_qubit"]
-        on_sector = [g for g in circ.gates if len(g.controls) == 1
-                     and g.controls[0][0] == sector]
-        positives = [g for g in on_sector if g.controls[0][1] == "+"]
-        negatives = [g for g in on_sector if g.controls[0][1] == "-"]
-        # chain Z + four active letters on the excitation side, Z pair opposite
-        assert len(positives) == 5
-        assert len(negatives) == 2
-        letters = sorted(g.kind for g in positives)
-        assert letters == ["X", "X", "X", "Y", "Z"]
+        on_sector = [g for g in circ.gates if g.targets
+                     and g.targets[0] >= circ.num_ancilla
+                     and any(q == sector for q, _ in g.controls)]
+        # chain Z + four active letters, each singly and positively controlled
+        assert all(g.controls == ((sector, "+"),) for g in on_sector)
+        assert sorted(g.kind for g in on_sector) == ["X", "X", "X", "Y", "Z"]
 
     def test_mismatched_circuit_fails_verification(self):
         flipped = UccFactor((0, 1), (2, 3), -0.7, 4)
@@ -406,14 +406,26 @@ class TestPhasePolynomial:
     @pytest.mark.parametrize("layout", [((0,), (1,), 2), ((0, 1), (4, 6), 7)]
                              + FIXUP_LAYOUTS)
     def test_fixup_shape(self, layout):
+        """At generic theta: the code-0 phase on all-negative controls, the
+        constant -1, S or S† on the sector wire and Z on wire 1; rank 1
+        keeps its two-gate polynomial."""
         plan = plan_for(*layout)
-        n = plan.rank
+        na = plan.num_ancilla
         for theta in (0.7, -0.7, 2.5, -2.5, 3.0):
             f = UccFactor(layout[0], layout[1], theta, layout[2])
             fixups = [g for g in synth_select(f, plan).gates
                       if g.kind in ("PHASE", "GLOBALPHASE")]
-            assert len(fixups) <= 3
-            assert max(len(g.controls) for g in fixups) <= 2 * n - 1
+            s = math.copysign(math.pi / 2, math.sin(theta))
+            if na == 2:
+                assert fixups == [Gate("PHASE", (0,), -s),
+                                  Gate("PHASE", (0,), math.pi, ((1, "+"),))]
+                continue
+            assert fixups == [
+                Gate("GLOBALPHASE", (), math.pi,
+                     tuple((w, "-") for w in range(na))),
+                Gate("GLOBALPHASE", (), math.pi),
+                Gate("PHASE", (1,), math.pi),
+                Gate("PHASE", (0,), s)], theta
 
     def test_phase_outside_z4_is_refused(self, monkeypatch):
         # a coefficient unit off the powers of i is refused at planning time
