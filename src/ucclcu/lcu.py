@@ -1,16 +1,20 @@
 """Assembly of the block encoding W = (B† ⊗ 1) · SELECT · (B ⊗ 1), its
 ancilla-zero block, and exact multi-round oblivious amplitude amplification.
 
-Wire layout: main ancilla code wires 0..2n-1 (wire 0 = sector), then the pad
-wire 2n when padding is engaged, then the system register.
+Wire layout: ancilla code wires 0..2n-1 (wire 0 = sector), then the system
+register.
 
-The coefficient one-norm s fixes everything: postselection succeeds with
-probability 1/s², and m amplification rounds are exact precisely when s equals
-s_m = 1/sin(pi/(2(2m+1))) (s_0 = 1, s_1 = 2, s_2 ≈ 3.23607).  For any other s
-the bank is padded: one extra ancilla wire carries an identity-labeled branch
-of weight c = (s_m - s)/2 whose sign is flipped by a bare Z on that wire,
-while +c is folded into the identity code of the main bank — the identity
-contributions cancel, and the padded one-norm lands on s_m exactly.
+The coefficient one-norm s fixes everything: ⟨0|W|0⟩ = U/s, so
+postselection succeeds with probability 1/s².  Amplification runs m rounds
+of R_φ W† R_φ W after W, R_φ = 1 - (1 - e^{iφ})|0⟩⟨0| on the code wires, with
+the smallest m whose level s_m = 1/sin(pi/(2(2m+1))) reaches s (s_0 = 1,
+s_1 = 2, s_2 ≈ 3.23607).  On the 2×2 model of the oblivious-amplification
+lemma (Berry, Childs, Cleve, Kothari & Somma, arXiv:1312.1414) W is the
+rotation [[1/s, -b], [b, 1/s]], b = sqrt(1 - 1/s²), and R_φ is
+diag(e^{iφ}, 1).  Long's phase matching (G. L. Long, PRA 64, 022307 (2001),
+quant-ph/0106071) makes the m rounds exact for every s ≤ s_m with
+φ = 2 asin(s/s_m): the (0,0) entry of (W R_φ Wᵀ R_φ)^m W then has modulus 1.
+At s = s_m, φ = pi and R_φ is the plain reflection 1 - 2|0⟩⟨0|.
 """
 
 from __future__ import annotations
@@ -26,9 +30,6 @@ from .pauli import check_dense
 from .prepare import lcu_coefficients, synth_prepare
 from .select import synth_select
 
-#: pad engages above this surplus; below it the s_m mismatch is float dust
-_PAD_THRESHOLD = 5e-13
-
 
 def exact_amplification_one_norm(m: int) -> float:
     """s_m = 1/sin(pi/(2(2m+1))): the one-norm at which m rounds are exact."""
@@ -37,50 +38,58 @@ def exact_amplification_one_norm(m: int) -> float:
     return 1.0 / math.sin(math.pi / (2.0 * (2 * m + 1)))
 
 
-def _pad_weight(s: float, s_target: float) -> float:
-    """Pad weight c = (s_target - s)/2, or 0 when it is float dust."""
-    c = (s_target - s) / 2.0
-    return c if c > _PAD_THRESHOLD else 0.0
-
-
-def assemble_w(f: UccFactor, s_target: float | None = None) -> Circuit:
+def assemble_w(f: UccFactor) -> Circuit:
     """W = (B† ⊗ 1) · SELECT · (B ⊗ 1) for one factor; the only W builder.
 
-    With s_target above the one-norm s, the bank gains the pad wire 2n: an RY
-    on it loads the branch of weight c = (s_target - s)/2, B is anticontrolled
-    on it and loads +c extra on the identity code, and a Z on the pad wire
-    gives the pad branch -c.  The identity contributions cancel and the
-    one-norm becomes s_target.  The Z needs no controls: with B off, the pad
-    branch keeps the main bank at all zeros, the code on which PREPARE loads
-    the identity coefficient and which SELECT maps to the identity string.
+    B loads sqrt(|alpha| / s) on the 2n code wires, code 0 holding the
+    identity weight, and SELECT maps code 0 to the identity string and
+    carries every coefficient phase, so ⟨0|W|0⟩ = U/s with no extra phase.
     """
-    n = f.rank
-    na = 2 * n
-    c = 0.0 if s_target is None else \
-        _pad_weight(lcu_coefficients(n, f.theta).s_one_norm, s_target)
-    pad = 1 if c else 0
-    prep = synth_prepare(n, f.theta, identity_offset=c).gates
-    select = synth_select(f, system_offset=na + pad)
-    if pad:
-        prep = [Gate("RY", (na,), 2.0 * math.asin(math.sqrt(c / s_target)))] + \
-            [Gate(g.kind, g.targets, g.angle, g.controls + ((na, "-"),))
-             for g in prep]
-        select.append(Gate("Z", (na,)))
+    prep = synth_prepare(f.rank, f.theta).gates
+    select = synth_select(f)
     circ = Circuit(select.num_qubits, num_ancilla=select.num_ancilla)
     circ.extend(prep + select.gates + [g.inverse() for g in reversed(prep)])
     return circ
 
 
-def reflection_on_ancilla(num_ancilla: int) -> list[Gate]:
-    """R = 1 - 2|0..0><0..0| on the ancilla block: one GLOBALPHASE(pi)
-    anticontrolled on every ancilla wire, the shape of SELECT's code-0 phase."""
-    return [Gate("GLOBALPHASE", (), math.pi,
+def reflection_on_ancilla(num_ancilla: int, phi: float) -> list[Gate]:
+    """R_φ = 1 - (1 - e^{iφ})|0..0><0..0| on the ancilla block: one
+    GLOBALPHASE(φ) anticontrolled on every ancilla wire, the shape of
+    SELECT's code-0 phase; φ = pi is the reflection 1 - 2|0..0><0..0|."""
+    return [Gate("GLOBALPHASE", (), phi,
                  tuple((q, "-") for q in range(num_ancilla)))]
+
+
+def matched_phases(s: float) -> tuple[int, float, float]:
+    """(m, φ, χ) for the one-norm s.
+
+    m is the smallest round count with s_m >= s, so float dust above s_m
+    takes the next m; φ = 2 asin(s/s_m) is the matched reflection phase; and
+    χ is minus the argument of the (0,0) entry of the 2×2 model
+    (W R_φ Wᵀ R_φ)^m W, the uncontrolled phase that makes the amplified
+    block U itself.
+    """
+    m = 0
+    while exact_amplification_one_norm(m) < s:
+        m += 1
+    phi = 2.0 * math.asin(s / exact_amplification_one_norm(m))
+    a = 1.0 / s
+    b = math.sqrt(1.0 - a * a)
+    turn = complex(math.cos(phi), math.sin(phi))
+    x, y = complex(a), complex(b)  # W|0>
+    for _ in range(m):
+        x *= turn
+        x, y = a * x + b * y, a * y - b * x  # Wᵀ
+        x *= turn
+        x, y = a * x - b * y, b * x + a * y  # W
+    return m, phi, -math.atan2(x.imag, x.real)
 
 
 @dataclass
 class LcuAssembly:
-    """Everything the verifier and the CLI need about one assembled factor."""
+    """Everything the verifier and the CLI need about one assembled factor;
+    s_effective is the level s_m that the reflection phase is matched to,
+    and pad_qubits is always 0 (see `pad_and_synth_oaa`)."""
 
     s_one_norm: float
     s_effective: float
@@ -91,35 +100,29 @@ class LcuAssembly:
 
 
 def pad_and_synth_oaa(f: UccFactor) -> LcuAssembly:
-    """Pad the one-norm to the nearest exact-amplification value and emit the
-    m-round amplification circuit -W R W† R ... W.
+    """Emit the m-round amplification circuit: W, then m times R_φ, W†,
+    R_φ, W, then one uncontrolled GLOBALPHASE(χ), with (m, φ, χ) from
+    `matched_phases`; its ancilla-zero block equals U.  With m = 0 (s = 1,
+    as at θ = 0) it is W.
 
-    The rounds are the smallest m with s_m >= s.  If s overshoots s_m by
-    float dust, the next m is taken and padding keeps the protocol exact.
+    The name, `s_effective` and `pad_qubits` come from a construction that
+    padded the one-norm up to s_m on an extra ancilla wire; they stay
+    because the benchmark under `bench/` reads them.
     """
     s = lcu_coefficients(f.rank, f.theta).s_one_norm
-    m = 0
-    while exact_amplification_one_norm(m) < s:
-        m += 1
-    s_m = exact_amplification_one_norm(m)
-    w = assemble_w(f, s_target=s_m)
-
+    m, phi, chi = matched_phases(s)
+    w = assemble_w(f)
     oaa = Circuit(w.num_qubits, list(w.gates), w.num_ancilla)
     if m > 0:
-        reflect = reflection_on_ancilla(w.num_ancilla)
+        reflect = reflection_on_ancilla(w.num_ancilla, phi)
         w_dag = w.compose_adjoint()
         for _ in range(m):
             oaa.extend(reflect)
             oaa.extend(w_dag.gates)
             oaa.extend(reflect)
             oaa.extend(w.gates)
-            oaa.append(Gate("GLOBALPHASE", (), math.pi))
-
-    s_eff = s + 2.0 * _pad_weight(s, s_m)
-    if m and abs(s_eff - s_m) > 1e-12:
-        raise RuntimeError(f"padded one-norm {s_eff!r} misses s_m = {s_m!r}; "
-                           "synthesis bug")
-    return LcuAssembly(s, s_eff, w.num_ancilla - 2 * f.rank, m, w, oaa)
+        oaa.append(Gate("GLOBALPHASE", (), chi))
+    return LcuAssembly(s, exact_amplification_one_norm(m), 0, m, w, oaa)
 
 
 def ancilla_zero_block(circuit: Circuit) -> tuple[np.ndarray, float]:
@@ -153,9 +156,7 @@ def phase_aligned_deviation(matrix: np.ndarray,
 @dataclass(frozen=True, slots=True)
 class EndToEndReport:
     s_one_norm: float
-    s_effective: float
     rounds: int
-    pad_qubits: int
     deviation: float
     leakage: float
     success_probability: float | None
@@ -166,10 +167,11 @@ def verify_end_to_end(f: UccFactor, mode: str = "oaa",
                       tolerance: float = 1e-8) -> EndToEndReport:
     """Compare the realized system block against the exact unitary.
 
-    mode "postselect": unpadded W; deviation of s·⟨0|W|0⟩ from U after global
-    phase alignment, plus the success-probability cross-check p = 1/s².
-    mode "oaa": padded m-round amplification; the block itself must equal U
-    and the ancilla leakage must vanish, both within tolerance.
+    mode "postselect": W; deviation of s·⟨0|W|0⟩ from U after global phase
+    alignment, plus the success-probability cross-check p = 1/s².
+    mode "oaa": m-round phase-matched amplification; the block itself, with
+    no phase alignment, must equal U and the ancilla leakage must vanish,
+    both within tolerance.
 
     Only the 2n actives and the first chain wire, if any, are simulated: the
     emitted circuits touch the other system wires (spectators) only with
@@ -182,12 +184,10 @@ def verify_end_to_end(f: UccFactor, mode: str = "oaa",
         raise ValueError("mode must be 'postselect' or 'oaa'")
     s = lcu_coefficients(f.rank, f.theta).s_one_norm
     if mode == "postselect":
-        circuit, known = assemble_w(f), (s, s, 0, 0)
+        circuit, known = assemble_w(f), (s, 0)
     else:
         assembly = pad_and_synth_oaa(f)
-        circuit = assembly.oaa_circuit
-        known = (s, assembly.s_effective, assembly.oaa_rounds,
-                assembly.pad_qubits)
+        circuit, known = assembly.oaa_circuit, (s, assembly.oaa_rounds)
     kept = sorted(set(f.actives) | set(chain_qubits(f)[:1]))
     spectators = set(range(f.num_qubits)) - set(kept)
     try:
@@ -204,6 +204,6 @@ def verify_end_to_end(f: UccFactor, mode: str = "oaa",
         prob_ok = abs(probability - 1.0 / (s * s)) <= 1e-9
         return EndToEndReport(*known, deviation, leakage, probability,
                               deviation <= tolerance and prob_ok)
-    deviation, _ = phase_aligned_deviation(block, reference)
+    deviation = float(np.linalg.norm(block - reference, 2))
     return EndToEndReport(*known, deviation, leakage, None,
                           deviation <= tolerance and leakage <= tolerance)

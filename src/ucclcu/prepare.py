@@ -106,21 +106,20 @@ def prepare_angles(n: int, theta: float) -> tuple[float, ...]:
     return tuple(out)
 
 
-def prepare_target_amplitudes(n: int, theta: float,
-                              identity_offset: float = 0.0) -> list[float]:
+def prepare_target_amplitudes(n: int, theta: float) -> list[float]:
     """Target |amplitude| per ancilla code: sqrt(|alpha| / s), code 0 holding
-    the identity coefficient (plus any padding offset), codes up to
-    2^{2n-1}-1 the projector family, the upper half the excitation family."""
+    the identity coefficient, codes up to 2^{2n-1}-1 the projector family,
+    the upper half the excitation family."""
     c = lcu_coefficients(n, theta)
     m = c.sector_size
-    s = c.s_one_norm + identity_offset
-    ident = math.sqrt((c.identity_coeff + identity_offset) / s)
+    s = c.s_one_norm
+    ident = math.sqrt(c.identity_coeff / s)
     proj = math.sqrt(abs(c.projector_coeff) / s)
     exc = math.sqrt(abs(c.excitation_coeff) / s)
     return [ident] + [proj] * (m - 1) + [exc] * m
 
 
-def _loader_angles(n: int, theta: float, identity_offset: float) -> list[float]:
+def _loader_angles(n: int, theta: float) -> list[float]:
     """Half-convention angles that load sqrt(mass) per code family.
 
     Family k (codes whose first set bit is at level k, wire k-1) receives
@@ -131,11 +130,11 @@ def _loader_angles(n: int, theta: float, identity_offset: float) -> list[float]:
     taken by subtraction, so a zero identity mass stays exactly zero.
     """
     c = lcu_coefficients(n, theta)
-    s = c.s_one_norm + identity_offset
+    s = c.s_one_norm
     masses = [abs(math.sin(theta)) / s]
     masses += [(1 << (2 * n - k)) * abs(c.projector_coeff) / s
                for k in range(2, 2 * n + 1)]
-    remaining = [(c.identity_coeff + identity_offset) / s]
+    remaining = [c.identity_coeff / s]
     for mass in reversed(masses):
         remaining.append(remaining[-1] + mass)
     angles = []
@@ -167,10 +166,9 @@ def _loader(n: int, angles) -> Circuit:
     return circ
 
 
-def synth_prepare(n: int, theta: float, identity_offset: float = 0.0) -> Circuit:
-    """The ancilla loader B on 2n qubits; identity_offset is extra identity
-    weight folded into the loaded distribution (the amplification pad)."""
-    return _loader(n, _loader_angles(n, theta, identity_offset))
+def synth_prepare(n: int, theta: float) -> Circuit:
+    """The ancilla loader B on 2n qubits."""
+    return _loader(n, _loader_angles(n, theta))
 
 
 @dataclass(frozen=True, slots=True)

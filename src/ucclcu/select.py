@@ -249,8 +249,7 @@ def synth_select(f: UccFactor, plan: SelectPlan | None = None,
     monomial of the phase polynomial in ascending code order.
 
     system_offset places the system register (defaults to right after the 2n
-    ancilla wires; the amplification assembler passes 2n+1 to leave room for
-    its pad wire).
+    ancilla wires).
     """
     if plan is None:
         plan = derive_select_plan(f)

@@ -358,7 +358,7 @@ class TestErrorsAndMeta:
         assert "nonempty" in err
 
     def test_over_cap_verify_exits_two(self):
-        # the rank-5 OAA block is 2^21 x 2^10 complex entries (32 GiB)
+        # the rank-5 OAA block is 2^20 x 2^10 complex entries (16 GiB)
         proc = run_child("verify", "--rank", "5", "--theta", "0.5", limit_gib=4)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error:")
@@ -366,7 +366,7 @@ class TestErrorsAndMeta:
 
     def test_over_cap_block_refused_before_the_reference(self):
         # spectator 11 is fixed; the kept register is the ten actives and
-        # chain wire 5, so the padded OAA block is still 2^22 x 2^11
+        # chain wire 5, so the OAA block is 2^21 x 2^11, over the cap
         proc = run_child("verify", "--occ", "0,1,2,3,4", "--virt", "6,7,8,9,10",
                          "--n-qubits", "12", "--theta", "0.5", limit_gib=2)
         assert proc.returncode == 2 and proc.stdout == ""
@@ -388,8 +388,8 @@ class TestErrorsAndMeta:
 
     def test_spectator_moving_gate_fails_without_exit_two(self, capsys,
                                                           monkeypatch):
-        def stray_x(f, s_target=None):
-            w = assemble_w(f, s_target)
+        def stray_x(f):
+            w = assemble_w(f)
             return w.append(Gate("X", (w.num_ancilla + 4,)))
 
         monkeypatch.setattr("ucclcu.lcu.assemble_w", stray_x)

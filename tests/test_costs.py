@@ -136,16 +136,17 @@ class TestRealizedCounts:
             total_lcu_count(n, [0] * (2 * n - 2))
 
     def test_low_rank_gap(self):
-        # only rank 1 exceeds the model: there the emitted loader has the
-        # model's gates, and the pad wire adds a control to every one of
-        # them, which the model (no pad) does not count
+        # only rank 1 exceeds the model: its two reflections are phases
+        # anticontrolled on both code wires, 2 CNOTs each, which the model
+        # folds into its multiplicities, and each of the six loader copies
+        # costs 3 CNOTs (8n - 5) against the model's 2
         realized = realized_cnot_count(pad_and_synth_oaa(adjacent(1)).oaa_circuit)
-        assert (realized, total_lcu_count(1, [])) == (86, 30)
+        assert (realized, total_lcu_count(1, [])) == (40, 30)
 
     def test_one_round_oaa_pinned(self):
-        # linear from rank 2 on: 242n - 174
+        # linear from rank 2 on: 146n - 136
         assert [realized_cnot_count(pad_and_synth_oaa(adjacent(n)).oaa_circuit)
-                for n in range(1, 7)] == [86, 310, 552, 794, 1036, 1278]
+                for n in range(1, 7)] == [40, 156, 302, 448, 594, 740]
 
 
 class TestCascadeSynthesis:

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from ucclcu.circuit import Circuit, Gate, restrict, unitary_of
 from ucclcu.errors import ResourceLimitError
 from ucclcu.fermion import UccFactor, chain_qubits, exact_unitary
-from ucclcu.lcu import (_PAD_THRESHOLD, ancilla_zero_block, assemble_w,
-                        exact_amplification_one_norm, pad_and_synth_oaa,
-                        phase_aligned_deviation, reflection_on_ancilla,
-                        verify_end_to_end)
+from ucclcu.lcu import (ancilla_zero_block, assemble_w,
+                        exact_amplification_one_norm, matched_phases,
+                        pad_and_synth_oaa, phase_aligned_deviation,
+                        reflection_on_ancilla, verify_end_to_end)
 from ucclcu.prepare import lcu_coefficients, synth_prepare
 from ucclcu.select import derive_select_plan, synth_select
 
@@ -27,6 +27,12 @@ THETAS = [-0.3, 0.3, math.pi / 4, 1.0, math.pi / 2, 2.5]
 
 def standard_factor(n, theta):
     return UccFactor(tuple(range(n)), tuple(range(n, 2 * n)), theta, 2 * n)
+
+
+def oaa_phase(f):
+    """The phase that best aligns the full-register OAA block with U."""
+    block = ancilla_zero_block(pad_and_synth_oaa(f).oaa_circuit)[0]
+    return phase_aligned_deviation(block, exact_unitary(f))[1]
 
 
 class TestAmplificationNorms:
@@ -67,32 +73,57 @@ class TestAssembleW:
         unprep = [g.inverse() for g in reversed(prep)]
         assert assemble_w(f).gates == prep + synth_select(f).gates + unprep
 
-    def test_padded_w_adds_only_the_pad_gates(self):
-        f = standard_factor(2, 0.7)
-        s = lcu_coefficients(2, 0.7).s_one_norm
-        c = (2.0 - s) / 2
-        na = 4
-        prep = [Gate("RY", (na,), 2.0 * math.asin(math.sqrt(c / 2.0)))] + [
-            Gate(g.kind, g.targets, g.angle, g.controls + ((na, "-"),))
-            for g in synth_prepare(2, 0.7, identity_offset=c).gates]
-        select = synth_select(f, system_offset=na + 1).gates
-        unprep = [g.inverse() for g in reversed(prep)]
-        assert assemble_w(f, s_target=2.0).gates == \
-            prep + select + [Gate("Z", (na,))] + unprep
-
 
 class TestReflection:
     def test_one_zero_code_phase(self):
-        assert reflection_on_ancilla(3) == [Gate(
+        assert reflection_on_ancilla(3, math.pi) == [Gate(
             "GLOBALPHASE", (), math.pi, ((0, "-"), (1, "-"), (2, "-")))]
 
     @pytest.mark.parametrize("num_ancilla,width", [(1, 2), (2, 3), (3, 5)])
     def test_reflects_ancilla_vacuum(self, num_ancilla, width):
-        circ = Circuit(width, reflection_on_ancilla(num_ancilla))
-        dim, dim_sys = 1 << width, 1 << (width - num_ancilla)
-        expected = np.eye(dim, dtype=complex)
-        expected[:dim_sys, :dim_sys] *= -1.0  # ancilla |0..0> block flips sign
-        assert np.linalg.norm(unitary_of(circ) - expected, 2) < 1e-14
+        for phi in (math.pi, 1.1):
+            circ = Circuit(width, reflection_on_ancilla(num_ancilla, phi))
+            dim, dim_sys = 1 << width, 1 << (width - num_ancilla)
+            expected = np.eye(dim, dtype=complex)
+            # only the ancilla |0..0> block picks up e^{i phi}
+            expected[:dim_sys, :dim_sys] *= np.exp(1j * phi)
+            assert np.linalg.norm(unitary_of(circ) - expected, 2) < 1e-14
+
+
+def model_entry(s, m, phi):
+    """(0,0) entry of (W S Wᵀ S)^m W, W = [[1/s, -b], [b, 1/s]] and
+    S = diag(e^{i phi}, 1): the amplified block over U."""
+    a = 1.0 / s
+    b = math.sqrt(1.0 - a * a)
+    w = np.array([[a, -b], [b, a]])
+    reflect = np.diag([np.exp(1j * phi), 1.0])
+    rounds = np.linalg.matrix_power(w @ reflect @ w.T @ reflect, m)
+    return (rounds @ w)[0, 0]
+
+
+class TestMatchedPhases:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_model_block_is_unitary_and_aligned(self, m):
+        lo = exact_amplification_one_norm(m - 1)
+        hi = exact_amplification_one_norm(m)
+        for t in np.linspace(0.0, 1.0, 41)[1:]:
+            s = lo + t * (hi - lo)
+            rounds, phi, chi = matched_phases(s)
+            assert rounds == m
+            assert phi == pytest.approx(2.0 * math.asin(s / hi), abs=1e-15)
+            assert math.pi / 3 - 1e-12 <= phi <= math.pi
+            entry = model_entry(s, m, phi)
+            assert abs(abs(entry) - 1.0) <= 1e-14, s
+            assert abs(np.exp(1j * chi) * entry - 1.0) <= 1e-14, s
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_level_gives_the_plain_reflection(self, m):
+        assert matched_phases(exact_amplification_one_norm(m))[:2] == \
+            (m, math.pi)
+
+    def test_just_above_a_level_takes_the_next(self):
+        s = exact_amplification_one_norm(1)
+        assert matched_phases(math.nextafter(s, 3.0))[0] == 2
 
 
 class TestRoundPolicy:
@@ -103,12 +134,16 @@ class TestRoundPolicy:
         assert a.s_effective == pytest.approx(2.0, abs=1e-14)
 
     def test_half_pi_rank2_pads_to_second_level(self):
-        a = pad_and_synth_oaa(standard_factor(2, math.pi / 2))
-        assert (a.oaa_rounds, a.pad_qubits) == (2, 1)
+        # s = 11/4 lies between s_1 and s_2: two rounds at phi < pi, on the
+        # four code wires alone
+        f = standard_factor(2, math.pi / 2)
+        a = pad_and_synth_oaa(f)
+        assert (a.oaa_rounds, a.pad_qubits) == (2, 0)
         assert a.s_one_norm == pytest.approx(11 / 4, abs=1e-14)
         assert a.s_effective == pytest.approx(1.0 + math.sqrt(5.0), abs=1e-12)
-        assert a.oaa_circuit.num_ancilla == 5
-        assert a.oaa_circuit.num_qubits == 9
+        assert a.oaa_circuit.num_ancilla == 4
+        assert a.oaa_circuit.num_qubits == 8
+        assert verify_end_to_end(f, mode="oaa").passed
 
     def test_theta_zero_skips_amplification(self):
         a = pad_and_synth_oaa(standard_factor(1, 0.0))
@@ -116,10 +151,14 @@ class TestRoundPolicy:
         assert len(a.oaa_circuit.gates) == len(a.w_circuit.gates)
 
     def test_theta_pi_dust_bumps_to_one_round(self):
-        # s = 1 + O(eps) from the vanishing sine; exactness demands padding up
-        a = pad_and_synth_oaa(standard_factor(1, math.pi))
-        assert (a.oaa_rounds, a.pad_qubits) == (1, 1)
+        # s = 1 + O(eps) from the vanishing sine overshoots s_0 = 1: one
+        # round, phase-matched to phi ~ pi/3
+        f = standard_factor(1, math.pi)
+        a = pad_and_synth_oaa(f)
+        assert (a.oaa_rounds, a.pad_qubits) == (1, 0)
         assert a.s_effective == pytest.approx(2.0, abs=1e-12)
+        assert matched_phases(a.s_one_norm)[1] == pytest.approx(math.pi / 3)
+        assert verify_end_to_end(f, mode="oaa").passed
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("theta", THETAS)
@@ -142,7 +181,8 @@ class TestPostselection:
         assert np.allclose(block, np.array([[0, 1], [1, 0]]))
 
     def test_oversized_column_batch_refused_before_allocating(self):
-        # rank-5 OAA width: 2^21 x 2^10 complex columns would take 32 GiB
+        # 21 wires over 10 system qubits: 2^21 x 2^10 complex columns would
+        # take 32 GiB
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match="exceeds the cap"):
@@ -188,8 +228,9 @@ class TestEndToEnd:
     def test_amplified_grid(self, n, theta):
         r = verify_end_to_end(standard_factor(n, theta), mode="oaa")
         assert r.passed
-        assert r.deviation <= 1e-8
-        assert r.leakage <= 1e-8
+        assert r.deviation <= 1e-13
+        assert r.leakage <= 1e-13
+        assert abs(oaa_phase(standard_factor(n, theta))) <= 1e-12
 
     def test_half_pi_rank2_probability(self):
         r = verify_end_to_end(standard_factor(2, math.pi / 2),
@@ -201,6 +242,7 @@ class TestEndToEnd:
         for mode in ("postselect", "oaa"):
             r = verify_end_to_end(f, mode=mode)
             assert r.passed, mode
+        assert abs(oaa_phase(f)) <= 1e-12
 
     def test_theta_zero(self):
         r = verify_end_to_end(standard_factor(1, 0.0), mode="oaa")
@@ -265,8 +307,11 @@ class TestSpectatorReduction:
                     (theta, bits)
 
             s = lcu_coefficients(f.rank, theta).s_one_norm
-            scale = s if mode == "postselect" else 1.0
-            deviation = phase_aligned_deviation(scale * full, exact_unitary(f))[0]
+            if mode == "postselect":
+                deviation = phase_aligned_deviation(s * full, exact_unitary(f))[0]
+            else:
+                deviation, phase = phase_aligned_deviation(full, exact_unitary(f))
+                assert abs(phase) <= 1e-12
             r = verify_end_to_end(f, mode=mode)
             assert abs(r.deviation - deviation) <= 1e-14
             assert abs(r.leakage - leakage) <= 1e-14
@@ -295,21 +340,25 @@ class TestSpectatorReduction:
                  None if g.angle is None else f"{g.angle:.12g}",
                  [list(c) for c in g.controls]] for g in r.gates]])
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
-            "c7e4d8bce0d7388e44d2fd87f4a1f260389f372ff410e6122e31af0ff5750259"
+            "6844381eec1ff205bcab828556049e19f19da141ea5833a59638386bf2386754"
 
     def test_grid_has_padded_and_unpadded_circuits(self):
-        pads = {pad_and_synth_oaa(UccFactor(occ, virt, theta, nq)).pad_qubits
+        # one and two rounds, with phi = pi (s = s_1 at rank 1, theta = pi/2)
+        # and phi < pi
+        grid = [UccFactor(occ, virt, theta, nq)
                 for (occ, virt, nq), theta in itertools.product(
-                    SPECTATOR_LAYOUTS, SPECTATOR_THETAS)}
-        assert pads == {0, 1}
+                    SPECTATOR_LAYOUTS, SPECTATOR_THETAS)]
+        assert [pad_and_synth_oaa(f).oaa_rounds for f in grid] == \
+            [1, 1, 1, 1, 1, 1, 1, 2, 2, 1, 2, 2, 1, 2, 2, 1, 2, 2]
+        assert all(verify_end_to_end(f, mode="oaa").passed for f in grid)
 
     @pytest.mark.parametrize("mode", ["postselect", "oaa"])
     def test_gate_moving_a_spectator_fails_without_raising(self, monkeypatch,
                                                            mode):
         f = UccFactor((0, 2), (3, 6), 0.7, 8)   # spectators 4, 5, 7
 
-        def stray_x(f, s_target=None):
-            w = assemble_w(f, s_target)
+        def stray_x(f):
+            w = assemble_w(f)
             return w.append(Gate("X", (w.num_ancilla + 7,)))
 
         monkeypatch.setattr("ucclcu.lcu.assemble_w", stray_x)
@@ -334,17 +383,26 @@ LONG_GATE_THETAS = [0.0, 1e-20, 0.7, -0.7, math.pi / 2, -math.pi / 2, 2.5,
 @pytest.mark.parametrize("layout", LONG_GATE_LAYOUTS,
                          ids=lambda l: f"{l[0]}-{l[1]}-N{l[2]}")
 def test_long_gates_are_zero_code_phases(layout):
-    """Every gate of W or OAA with three or more controls is a reflection
-    or SELECT's code-0 phase: GLOBALPHASE(±pi) on negative controls only."""
+    """W and OAA have exactly the 2n code wires as ancillas, and every gate
+    with three or more controls is a GLOBALPHASE anticontrolled on exactly
+    those wires: SELECT's code-0 phase, its inverse from W†, or the matched
+    reflection R_phi."""
     occ, virt, nq = layout
+    code_wires = tuple((q, "-") for q in range(2 * len(occ)))
     for theta in LONG_GATE_THETAS:
         f = UccFactor(occ, virt, theta, nq)
-        for circuit in (assemble_w(f), pad_and_synth_oaa(f).oaa_circuit):
+        select = {g.angle for g in synth_select(f).gates if len(g.controls) >= 3}
+        select |= {-angle for angle in select}
+        reflection = matched_phases(lcu_coefficients(f.rank, theta).s_one_norm)[1]
+        for circuit, angles in ((assemble_w(f), select),
+                                (pad_and_synth_oaa(f).oaa_circuit,
+                                 select | {reflection})):
+            assert circuit.num_ancilla == 2 * f.rank, theta
             for g in circuit.gates:
                 if len(g.controls) >= 3:
-                    assert g.kind == "GLOBALPHASE" and \
-                        abs(g.angle) == math.pi, (theta, g)
-                    assert {pol for _, pol in g.controls} == {"-"}, (theta, g)
+                    assert g.kind == "GLOBALPHASE", (theta, g)
+                    assert g.controls == code_wires, (theta, g)
+                    assert g.angle in angles, (theta, g)
 
 
 @st.composite
@@ -363,8 +421,8 @@ def random_layouts(draw):
     return tuple(sorted(picked[:n])), tuple(sorted(picked[n:])), nq
 
 
-# theta where sin or cos - 1 vanishes or s meets s_1, nudged across the pad
-# threshold: at pi/2 +- 1e-6 the rank-1 pad weight is 2.5e-13, at 2e-6 it is 1e-12
+# theta where sin or cos - 1 vanishes or s meets s_1, nudged off it: at
+# pi/2 +- 1e-6 the rank-1 s is 5e-13 below s_1, at 2e-6 it is 2e-12 below
 EDGE_THETAS = st.builds(
     operator.add,
     st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi,
@@ -376,6 +434,7 @@ def assert_both_modes_pass(f):
     for mode in ("postselect", "oaa"):
         r = verify_end_to_end(f, mode=mode)
         assert r.passed, (f, mode, r.deviation, r.leakage)
+    assert abs(oaa_phase(f)) <= 1e-12, f
 
 
 class TestRandomLayouts:
@@ -387,12 +446,17 @@ class TestRandomLayouts:
         assert derive_select_plan(f).code_table[0].string.is_identity()
         assert_both_modes_pass(f)
 
-    @pytest.mark.parametrize("offset,pad", [(-1e-6, 0), (1e-6, 0),
-                                            (-2e-6, 1), (2e-6, 1)])
-    def test_rank1_pad_toggles_near_half_pi(self, offset, pad):
+    @pytest.mark.parametrize("offset,wide", [(-1e-6, 0), (1e-6, 0),
+                                             (-2e-6, 1), (2e-6, 1)])
+    def test_rank1_pad_toggles_near_half_pi(self, offset, wide):
+        # just below s_1, where asin is steepest: a gap s_1 - s of 5e-13
+        # (wide = 0) or 2e-12 (wide = 1) moves phi off pi by about 1.4e-6
+        # or 2.8e-6, and one round must stay exact
         f = standard_factor(1, math.pi / 2 + offset)
         a = pad_and_synth_oaa(f)
-        assert (a.oaa_rounds, a.pad_qubits) == (1, pad)
+        assert (exact_amplification_one_norm(1) - a.s_one_norm > 1e-12) == \
+            bool(wide)
+        assert (a.oaa_rounds, a.pad_qubits) == (1, 0)
         assert_both_modes_pass(f)
 
     def test_rank2_pad_toggles_below_first_level(self):
@@ -404,11 +468,11 @@ class TestRandomLayouts:
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if s(mid) < 2.0 else (lo, mid)
         slope = (s(lo + 1e-6) - s(lo - 1e-6)) / 2e-6
-        for weight, pad in ((0.5 * _PAD_THRESHOLD, 0), (2 * _PAD_THRESHOLD, 1)):
-            # pad weight c = (s_1 - s)/2 lands on either side of the threshold
-            theta = lo - 2.0 * weight / slope
-            assert ((2.0 - s(theta)) / 2 > _PAD_THRESHOLD) == bool(pad)
+        for gap in (5e-13, 2e-12):
+            # s lands the gap below s_1: one round with phi just under pi
+            theta = lo - gap / slope
+            assert 0.0 < 2.0 - s(theta) < 4.0 * gap
             a = pad_and_synth_oaa(standard_factor(2, theta))
-            assert (a.oaa_rounds, a.pad_qubits) == (1, pad)
+            assert (a.oaa_rounds, a.pad_qubits) == (1, 0)
             assert_both_modes_pass(standard_factor(2, theta))
         assert_both_modes_pass(standard_factor(2, hi))

@@ -109,13 +109,6 @@ class TestTargets:
         t = prepare_target_amplitudes(2, math.pi / 2)
         assert t[0] ** 2 == pytest.approx(7 / 22, abs=1e-15)
 
-    def test_offset_shifts_identity_mass(self):
-        t = prepare_target_amplitudes(2, 1.0, identity_offset=0.25)
-        c = lcu_coefficients(2, 1.0)
-        s = c.s_one_norm + 0.25
-        assert t[0] ** 2 == pytest.approx((c.identity_coeff + 0.25) / s,
-                                          abs=1e-14)
-
 
 class TestSynthPrepare:
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -123,12 +116,6 @@ class TestSynthPrepare:
     def test_verified_mode_loads_sqrt_targets(self, n, theta):
         got = np.abs(loaded_state(synth_prepare(n, theta)))
         target = np.array(prepare_target_amplitudes(n, theta))
-        assert np.max(np.abs(got - target)) <= 1e-12
-
-    def test_verified_mode_with_identity_offset(self):
-        got = np.abs(loaded_state(synth_prepare(2, 0.8, identity_offset=0.3)))
-        target = np.array(prepare_target_amplitudes(2, 0.8,
-                                                    identity_offset=0.3))
         assert np.max(np.abs(got - target)) <= 1e-12
 
     def test_theta_zero_loads_identity_slot_only(self):
