@@ -125,7 +125,7 @@ def _cmd_synth(args, cmdline: str) -> int:
     if args.part == "prepare":
         circ = synth_prepare(f.rank, f.theta)
     elif args.part == "select":
-        circ = synth_select(f, derive_select_plan(f))
+        circ = synth_select(f)
     elif args.part == "w":
         circ = assemble_w(f)
     else:  # oaa

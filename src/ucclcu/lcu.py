@@ -102,15 +102,18 @@ class LcuAssembly:
 def pad_and_synth_oaa(f: UccFactor) -> LcuAssembly:
     """Emit the m-round amplification circuit: W, then m times R_φ, W†,
     R_φ, W, then one uncontrolled GLOBALPHASE(χ), with (m, φ, χ) from
-    `matched_phases`; its ancilla-zero block equals U.  With m = 0 (s = 1,
-    as at θ = 0) it is W.
+    `matched_phases`; its ancilla-zero block equals U.  With m = 0 (s = 1
+    and sin θ = 0, as at θ = 0) it is W.
 
     The name, `s_effective` and `pad_qubits` come from a construction that
     padded the one-norm up to s_m on an extra ancilla wire; they stay
     because the benchmark under `bench/` reads them.
     """
     s = lcu_coefficients(f.rank, f.theta).s_one_norm
-    m, phi, chi = matched_phases(s)
+    # s rounds to 1 where |sin θ| is below half an ulp, yet W leaks
+    # sqrt(2 |sin θ|): match the next float above 1, which takes one round
+    nudged = max(s, math.nextafter(1.0, 2.0)) if math.sin(f.theta) else s
+    m, phi, chi = matched_phases(nudged)
     w = assemble_w(f)
     oaa = Circuit(w.num_qubits, list(w.gates), w.num_ancilla)
     if m > 0:

@@ -19,7 +19,9 @@ kept as GLOBALPHASE gates and dropped only at text emission, with a comment).
 It is deliberately ancilla-free and therefore exponential in the control
 count — fine for export, not a statement about gate cost; the CNOT figures in
 the cost module use the 8k-12 counting model instead, and emitted files say so
-in their header.  Emission is then a lookup on the gate kind.
+in their header.  A gate with more than 16 controls is refused: 16, the
+rank-8 code-0 phase, already lowers to 12.8 million gates.  Emission is then
+a lookup on the gate kind.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ import math
 import numpy as np
 
 from .circuit import Circuit, Gate, unitary_of
+from .errors import ResourceLimitError
+
+_MAX_CONTROLS = 16
 
 # Uncontrolled gates that, applied before a Z (and inverted after it), give
 # the keyed kind.  Listed in circuit order.
@@ -81,6 +86,10 @@ def lower_controls(circuit: Circuit) -> list[Gate]:
     (exact, global phase included)."""
     ops: list[Gate] = []
     for g in circuit.gates:
+        if len(g.controls) > _MAX_CONTROLS:
+            raise ResourceLimitError(
+                f"a {g.kind} with {len(g.controls)} controls is past the export "
+                f"cap of {_MAX_CONTROLS}: lowering is exponential in the controls")
         ops.extend(lower_gate(g))
     return ops
 

@@ -17,19 +17,29 @@ These masks are the edge set of a path through the 2n active orbitals, hence
 linearly independent over GF(2) and spanning the even-weight toggle space:
 subset products reach each sector's strings exactly once.
 
-Each code c then needs the diagonal phase u_c / i^{k_c}: u_c is the
-coefficient phase that PREPARE deliberately does not carry
-(coefficient/|coefficient|, defined as 1 for zero coefficients) and i^{k_c}
-the phase the mask products left behind.  The hidden SU(2) makes both
-powers of i, which the plan stores as Z4 exponents, so the fix-up is a
-Z4-valued function of the 2n code bits, synthesized as a phase polynomial
-(Amy, Maslov, Mosca, arXiv:1303.2042): a Moebius transform over the code
-bits gives one PHASE(g pi/2) per monomial, controlled on the monomial's
-other wires.  Within each sector the function is affine; only code 0 breaks
-that, and it gets one GLOBALPHASE anticontrolled on every code wire.  At
-generic theta that is four gates from rank 2 on: the code-0 phase, an
-uncontrolled GLOBALPHASE(pi), S or S† on the sector wire and Z on wire 1;
-rank 1 needs two, S or S† and a CZ.
+The phase fix-ups follow in closed form from the hidden SU(2).  Write b_w
+for code bit w and M_c for the product of the masks that code c fires.  A A†
+and A† A project onto two patterns: the virtuals filled and the occupied
+empty, and the reverse.  Each mask pairs two occupied or two virtual
+orbitals, both filled or both empty in either pattern, except the
+sector-flip mask (o_n, v_1), which meets one filled and one empty orbital in
+each.  E = A - A† and Pi = A A† + A† A act only on those patterns, so
+M_c E = (-1)^{b_1} E and M_c Pi = (-1)^{b_1} Pi.  If the reference string has
+the coefficient i^r / 2^{2n-1} in E and M_c times it is i^{k_c} P_c, then
+P_c has the Z4 power r + 2 b_1 + k_c in E; in Pi, whose identity coefficient
+is positive, P_c = M_c has the power 2 b_1.  Code c must carry the unit of
+its coefficient in the expansion I + sin(theta) E + (cos theta - 1) Pi over
+the i^{k_c} the masks left: r + 2 b_1 + 2 [sin theta < 0] in the excitation
+sector, 2 + 2 b_1 in the diagonal sector (cos theta - 1 <= 0), and 0 at
+code 0, the identity, whose coefficient is >= 0.  Where a weight is zero
+the unit is free and takes the same rule.  That is affine in b_0 and b_1
+except at code 0, so from rank 2 on four gates give it: GLOBALPHASE(pi)
+anticontrolled on all 2n code wires, GLOBALPHASE(pi), Z on wire 1 and
+PHASE((r + 2 [sin theta < 0] - 2) pi/2) on wire 0.  At rank 1 the diagonal
+sector holds code 0 and the b_1 code only, both at 0, so two gates do:
+PHASE((r + 2 [sin theta < 0]) pi/2) on wire 0, then CZ(0, 1).  r comes from
+the 2n single-term ladder factors of A (`_reference_power`), with no
+PauliSum expanded.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from .circuit import Circuit, Gate
 from .errors import PlanningError, ResourceLimitError
 from .fermion import (UccFactor, chain_qubits, excitation_pauli_sum,
                       projector_pauli_sum)
-from .pauli import PauliString
+from .pauli import PauliString, _bit
 
 #: JSON label of the unit i^p, indexed by the Z4 exponent p
 _POWER_LABELS = ("+1", "+i", "-1", "-i")
@@ -101,11 +111,26 @@ class SelectPlan:
         }
 
 
+def _layout(f: UccFactor) -> tuple[tuple[int, ...], PauliString,
+                                   tuple[PauliString, ...]]:
+    """(chain qubits, excitation reference, step masks) of f's SELECT."""
+    nq, occ, vir, actives = f.num_qubits, f.occupied, f.virtuals, f.actives
+    chains = tuple(chain_qubits(f))
+    xy_ref = PauliString.from_label("".join(
+        ("Y" if q == actives[-1] else "X") if q in actives
+        else ("Z" if q in chains else "I")
+        for q in range(nq)))
+    # edges of the path o_1 .. o_n - v_1 .. v_n, the sector flip (o_n, v_1) first
+    edges = [(occ[-1], vir[0])] + list(zip(occ, occ[1:])) + list(zip(vir, vir[1:]))
+    return chains, xy_ref, tuple(PauliString.z_on(nq, edge) for edge in edges)
+
+
 def derive_select_plan(f: UccFactor) -> SelectPlan:
-    """Choose the reference and Z-masks and tabulate all 2^{2n} codes.
+    """Take the reference and Z-masks from `_layout` and tabulate all 2^{2n}
+    codes.
 
     The plan is verified internally against the symbolic expansion (sector
-    bijections, mask weights, units that are powers of i) before being
+    bijections, units that are powers of i) before being
     returned; a failure raises PlanningError carrying the offending string.
     Past rank 8 the code table is refused with ResourceLimitError.
     """
@@ -115,23 +140,7 @@ def derive_select_plan(f: UccFactor) -> SelectPlan:
             f"rank {n} needs a SELECT code table of 4^{n} = {4 ** n} codes; "
             f"the code table is capped at rank {_MAX_RANK}")
     na = 2 * n
-    occ, vir = sorted(f.occupied), sorted(f.virtuals)
-    chains = tuple(chain_qubits(f))
-
-    actives = set(occ) | set(vir)
-    xy_ref = PauliString.from_label("".join(
-        ("Y" if q == max(actives) else "X") if q in actives
-        else ("Z" if q in chains else "I")
-        for q in range(nq)))
-
-    # edges of the path o_1 .. o_n - v_1 .. v_n, the sector flip (o_n, v_1) first
-    edges = [(occ[-1], vir[0])] + list(zip(occ, occ[1:])) + list(zip(vir, vir[1:]))
-    masks = tuple(PauliString.z_on(nq, edge) for edge in edges)
-    for mask in masks:
-        if mask.weight > 2 or mask.x_mask:
-            raise PlanningError("step mask is not a weight-<=2 Z string",
-                                mask.letters)
-
+    chains, xy_ref, masks = _layout(f)
     excitation = excitation_pauli_sum(f)
     projector = projector_pauli_sum(f)
 
@@ -163,112 +172,85 @@ def derive_select_plan(f: UccFactor) -> SelectPlan:
             label = PauliString(nq, *next(iter(missing))).letters if missing else "?"
             raise PlanningError("sector code map is not a bijection", label)
 
-    return SelectPlan(n, nq, tuple(occ), tuple(vir), chains, xy_ref, masks,
+    return SelectPlan(n, nq, f.occupied, f.virtuals, chains, xy_ref, masks,
                       code_table)
 
 
 def code_phase_targets(f: UccFactor, plan: SelectPlan) -> dict[int, int]:
     """Z4 power p_c of the coefficient unit i^p_c that code c must carry:
-    coeff_power, plus 2 where sin theta (excitation sector) or cos theta - 1
-    (diagonal sector) is negative; 0 for a zero coefficient and for the
-    identity code 0, whose coefficient 1 + (cos theta - 1)/2^{2n-1} is >= 0."""
+    coeff_power, plus 2 in the excitation sector where sin theta < 0 and in
+    the whole diagonal sector, whose weight cos theta - 1 is never positive;
+    0 for the identity code 0, whose coefficient 1 + (cos theta - 1)/2^{2n-1}
+    is >= 0.  A code of zero weight (sin theta = 0 or cos theta = 1 in float)
+    may carry any unit; it takes the same rule, so the fix-ups keep their
+    shape."""
     na = plan.num_ancilla
-    sin_theta, cos_minus_one = math.sin(f.theta), math.cos(f.theta) - 1.0
-    out = {}
-    for code, entry in plan.code_table.items():
-        trig = sin_theta if (code >> (na - 1)) & 1 else cos_minus_one
-        if trig == 0.0 or code == 0:
-            out[code] = 0
-        else:
-            out[code] = (entry.coeff_power + (2 if trig < 0 else 0)) % 4
-    return out
+    flip = 2 if math.sin(f.theta) < 0 else 0
+    return {code: 0 if code == 0 else
+            (entry.coeff_power + (flip if code >> (na - 1) else 2)) % 4
+            for code, entry in plan.code_table.items()}
 
 
-def _mobius_z4(values: np.ndarray, num_bits: int) -> np.ndarray:
-    """Coefficients g_S of values(x) = sum_S g_S prod_{w in S} x_w (mod 4).
+def _reference_power(f: UccFactor, xy_ref: PauliString) -> int:
+    """r with i^r / 2^{2n-1} the coefficient of xy_ref in E = A - A†.
 
-    g_S = sum_{T subset of S} (-1)^{|S|-|T|} values[T], one axis per bit;
-    index bit num_bits-1-w is wire w, as for codes.
+    Each ladder factor (X -+ iY)/2 on its site, with Z on every site above,
+    gives xy_ref exactly one term: its own letter is xy_ref's letter there,
+    toggled between X and Y when an odd number of actives lie below (their
+    chains put a Z on the site).  Those 2n terms multiply to i^q xy_ref /
+    2^{2n}; A† holds the conjugate, so E holds 2 i^q / 2^{2n} for odd q.
     """
-    g = values.reshape((2,) * num_bits).copy()
-    for axis in range(num_bits):
-        lead = (slice(None),) * axis
-        g[lead + (1,)] -= g[lead + (0,)]
-    return g.reshape(-1) % 4
+    nq, letters, actives = f.num_qubits, xy_ref.letters, f.actives
+    word = PauliString.identity(nq)
+    # the Y term is -i/2 Y in a creation operator, +i/2 Y in an annihilation
+    for k, y_power in [(a, 3) for a in reversed(f.virtuals)] + \
+            [(i, 1) for i in f.occupied]:
+        y = (letters[k] == "Y") != (sum(q < k for q in actives) % 2 == 1)
+        site = _bit(nq, k)  # the sites above k are the lower bits
+        word = word.multiply(PauliString(nq, site, (site - 1) | site * y,
+                                         y_power * y))
+    if word.bare() != xy_ref or word.phase_power % 2 == 0:
+        raise PlanningError("reference string is not in the excitation sector",
+                            letters)
+    return word.phase_power
 
 
-def _phase_gate(bits: list[tuple[int, str]], power: int) -> Gate:
-    """i^power on the codes where every (wire, polarity) of bits fires."""
-    angle = _QUARTER_TURNS[power]
-    on = [w for w, pol in bits if pol == "+"]
-    if not on:
-        return Gate("GLOBALPHASE", (), angle, tuple(bits))
-    return Gate("PHASE", (on[0],), angle,
-                tuple((w, pol) for w, pol in bits if w != on[0]))
+def _phase_fixups(f: UccFactor, r: int) -> list[Gate]:
+    """The closed-form fix-ups of the module docstring: code c gets
+    i^(p_c - phase_power_c), with r the reference string's Z4 power."""
+    na = 2 * f.rank
+    sector = r + (2 if math.sin(f.theta) < 0 else 0)
+    if na == 2:
+        return [Gate("PHASE", (0,), _QUARTER_TURNS[sector % 4]),
+                Gate("PHASE", (0,), math.pi, ((1, "+"),))]
+    return [Gate("GLOBALPHASE", (), math.pi, tuple((w, "-") for w in range(na))),
+            Gate("GLOBALPHASE", (), math.pi),
+            Gate("PHASE", (1,), math.pi),
+            Gate("PHASE", (0,), _QUARTER_TURNS[(sector - 2) % 4])]
 
 
-def _phase_fixups(f: UccFactor, plan: SelectPlan) -> list[Gate]:
-    """Diagonal gates giving code c the phase i^(p_c - phase_power_c).
-
-    The Z4 exponent of each code is a polynomial over the 2n code bits
-    (Amy, Maslov, Mosca, arXiv:1303.2042).  Within a sector it is affine, and
-    the identity code 0 alone breaks that (its coefficient keeps sign +1 while
-    its sector takes sign(cos theta - 1)), so that code is peeled off first as
-    one all-anticontrolled GLOBALPHASE, with the residue that leaves the
-    fewest monomials.  Each remaining monomial S with coefficient g_S becomes a
-    PHASE(g_S pi/2) on one wire of S, positively controlled on the rest; the
-    empty monomial is a GLOBALPHASE.
-    """
-    na = plan.num_ancilla
-    targets = code_phase_targets(f, plan)
-    poly = _mobius_z4(np.array(
-        [(targets[code] - plan.code_table[code].phase_power) % 4
-         for code in range(1 << na)], dtype=np.int64), na)
-    spike = _mobius_z4((np.arange(1 << na) == 0).astype(np.int64), na)
-    peel = min(range(4), key=lambda r:
-               np.count_nonzero((poly - r * spike) % 4) + (r != 0))
-    poly = (poly - peel * spike) % 4
-
-    gates = []
-    if peel:
-        gates.append(_phase_gate([(w, "-") for w in range(na)], peel))
-    for mono in np.flatnonzero(poly):
-        gates.append(_phase_gate(
-            [(w, "+") for w in range(na) if (mono >> (na - 1 - w)) & 1],
-            int(poly[mono])))
-    return gates
-
-
-def synth_select(f: UccFactor, plan: SelectPlan | None = None,
-                 system_offset: int | None = None) -> Circuit:
+def synth_select(f: UccFactor, plan: SelectPlan | None = None) -> Circuit:
     """Emit the SELECT circuit on 2n ancilla + N system qubits.
 
     Gate order: sector-controlled excitation reference (chain Z's first, then
     the active-orbital letters), the step masks from the highest code wire
-    down, then the phase fix-ups: the code-0 phase, if any, and one gate per
-    monomial of the phase polynomial in ascending code order.
-
-    system_offset places the system register (defaults to right after the 2n
-    ancilla wires).
+    down, then the closed-form phase fix-ups.  Everything comes from f
+    through `_layout`, so no code table is built; `plan` is accepted and not
+    read, because callers under `bench/` pass one.
     """
-    if plan is None:
-        plan = derive_select_plan(f)
-    nq, na = plan.num_qubits, plan.num_ancilla
-    off = na if system_offset is None else system_offset
-    if off < na:
-        raise ValueError("system register overlaps the ancilla bank")
-    circ = Circuit(off + nq, num_ancilla=off)
+    chains, xy_ref, masks = _layout(f)
+    nq, na = f.num_qubits, 2 * f.rank
+    circ = Circuit(na + nq, num_ancilla=na)
 
-    for q in plan.chains:
-        circ.append(Gate("Z", (off + q,), controls=((0, "+"),)))
-    for q in sorted(set(plan.occupied) | set(plan.virtuals)):
-        kind = plan.xy_reference.letters[q]
-        circ.append(Gate(kind, (off + q,), controls=((0, "+"),)))
+    for q in chains:
+        circ.append(Gate("Z", (na + q,), controls=((0, "+"),)))
+    for q in f.actives:
+        circ.append(Gate(xy_ref.letters[q], (na + q,), controls=((0, "+"),)))
     for wire in range(na - 1, 0, -1):
-        for q in sorted(plan.masks[wire - 1].support()):
-            circ.append(Gate("Z", (off + q,), controls=((wire, "+"),)))
+        for q in sorted(masks[wire - 1].support()):
+            circ.append(Gate("Z", (na + q,), controls=((wire, "+"),)))
 
-    circ.extend(_phase_fixups(f, plan))
+    circ.extend(_phase_fixups(f, _reference_power(f, xy_ref)))
     return circ
 
 

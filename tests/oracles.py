@@ -10,7 +10,7 @@ statevector kernel; that kernel is itself checked against the column-by-column
 
 import numpy as np
 
-from ucclcu.circuit import apply_circuit
+from ucclcu.circuit import Gate, apply_circuit
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -124,3 +124,57 @@ def select_dense_passes(circuit, expected, tolerance: float = 1e-10) -> bool:
         if np.linalg.norm(got) > tolerance:
             return False
     return True
+
+
+_QUARTER_TURNS = {1: np.pi / 2, 2: np.pi, 3: -np.pi / 2}
+
+
+def mobius_z4(values: np.ndarray, num_bits: int) -> np.ndarray:
+    """Coefficients g_S of values(x) = sum_S g_S prod_{w in S} x_w (mod 4).
+
+    g_S = sum_{T subset of S} (-1)^{|S|-|T|} values[T], one axis per bit;
+    index bit num_bits-1-w is wire w, as for codes.
+    """
+    g = values.reshape((2,) * num_bits).copy()
+    for axis in range(num_bits):
+        lead = (slice(None),) * axis
+        g[lead + (1,)] -= g[lead + (0,)]
+    return g.reshape(-1) % 4
+
+
+def _phase_gate(bits, power):
+    """i^power on the codes where every (wire, polarity) of bits fires."""
+    on = [w for w, pol in bits if pol == "+"]
+    if not on:
+        return Gate("GLOBALPHASE", (), _QUARTER_TURNS[power], tuple(bits))
+    return Gate("PHASE", (on[0],), _QUARTER_TURNS[power],
+                tuple((w, pol) for w, pol in bits if w != on[0]))
+
+
+def mobius_fixups(plan, targets) -> list:
+    """SELECT's phase fix-ups found by search over the whole code table.
+
+    Code c needs i^(targets[c] - phase_power_c), a Z4 function of the 2n
+    code bits, written as a phase polynomial (Amy, Maslov & Mosca,
+    arXiv:1303.2042).  The code-0 spike is peeled off first, as one
+    all-anticontrolled GLOBALPHASE, with the multiple that leaves the fewest
+    monomials; each remaining monomial S with coefficient g_S becomes a
+    PHASE(g_S pi/2) on the first wire of S, positively controlled on the
+    rest, in ascending code order; the empty monomial is a GLOBALPHASE.
+    """
+    na = plan.num_ancilla
+    poly = mobius_z4(np.array(
+        [(targets[code] - plan.code_table[code].phase_power) % 4
+         for code in range(1 << na)], dtype=np.int64), na)
+    spike = mobius_z4((np.arange(1 << na) == 0).astype(np.int64), na)
+    peel = min(range(4), key=lambda r:
+               np.count_nonzero((poly - r * spike) % 4) + (r != 0))
+    poly = (poly - peel * spike) % 4
+    gates = []
+    if peel:
+        gates.append(_phase_gate([(w, "-") for w in range(na)], peel))
+    for mono in np.flatnonzero(poly):
+        gates.append(_phase_gate(
+            [(w, "+") for w in range(na) if (mono >> (na - 1 - w)) & 1],
+            int(poly[mono])))
+    return gates

@@ -267,9 +267,9 @@ PINNED_DIGESTS = {
     f"plan {LAYOUT}":
         "9b9cfd1df59cb96e5ef45e6f791dfc8925296243d6d561ac9edd228f58462a1e",
     "synth --part select --rank 2 --theta 0":
-        "d1911e981d7fe533c9c39cae07f5947d19b72717c6074767b3079743e344a77d",
+        "7f6ca80cf80def0f7a3e08c8ceb508331f4cb60c3d33c4220af5b113ee3f36d1",
     "synth --part select --rank 2 --theta 0 --qasm":
-        "39abe98dac1b4285f23ad6cf7a3f578235276a08a3e9003efdea96b6d9373c0f",
+        "f0cb7a74d98916536a8a1a88d1e15db6842c31e92a2b5bf146da51dfc19ceb2b",
     "synth --part select --rank 2 --theta 0.7":
         "d9622124bc86e84f32178c98e822ad548b17bca85f355d3d7bf978d9a3b469cf",
     "synth --part select --rank 2 --theta 0.7 --qasm":
@@ -279,9 +279,9 @@ PINNED_DIGESTS = {
     "synth --part select --rank 2 --theta -2.5 --qasm":
         "8b161c7692817b38709a302ee9042c47bd2613d1c06239bc783ad57e1a53324a",
     f"synth --part select {LAYOUT} --theta 0":
-        "9c3a407dd440b5d7d323573b8572676c1c21e122b642c7afb2678eb274ec8532",
+        "59fd2274e143085e038092bb788d44615a1601cd6fa06977ef683f801e0a1015",
     f"synth --part select {LAYOUT} --theta 0 --qasm":
-        "e39357e73c49e3a03fe782984f773cd2b1f369d290f1459435312c6bfc25fb6a",
+        "89f7fce56d9af1a505f2904e1e140318262600bc5eadf2459a094501f0bb9350",
     f"synth --part select {LAYOUT} --theta 0.7":
         "1246753d7f4f297a61a02e6efdf02f7b49d36a016bc9071adf9517478f1b2dcb",
     f"synth --part select {LAYOUT} --theta 0.7 --qasm":
@@ -411,18 +411,34 @@ class TestErrorsAndMeta:
             assert all(proc.returncode == 0 for proc in outs)
             assert outs[0].stdout == outs[1].stdout, mode
 
-    @pytest.mark.parametrize("argv", [
-        ("plan", "--rank", "9"),
-        ("synth", "--part", "select", "--rank", "9", "--theta", "0.7"),
-        ("synth", "--part", "w", "--rank", "9", "--theta", "0.7"),
-        ("synth", "--part", "oaa", "--rank", "9", "--theta", "0.7"),
-        ("verify", "--rank", "9", "--theta", "0.7"),
-    ], ids=lambda argv: " ".join(argv[:3]))
-    def test_code_table_past_rank_eight_exits_two(self, capsys, argv):
-        # 4^9 codes; rank 8 already takes seconds to plan
+    @pytest.mark.parametrize("argv, message", [
+        (("plan", "--rank", "9"), "code table"),
+        (("verify", "--rank", "9", "--theta", "0.7"), "exceeds the cap"),
+    ], ids=["plan --rank 9", "verify --rank 9"])
+    def test_code_table_past_rank_eight_exits_two(self, capsys, argv, message):
+        # plan prints 4^9 codes, and rank 8 already takes seconds; verify
+        # builds no code table, but its 36-wire block is past the dense cap
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
-        assert err.startswith("error:") and "code table" in err
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("rank", [9, 12])
+    @pytest.mark.parametrize("part", ["select", "w", "oaa"])
+    def test_synth_past_rank_eight_builds_no_code_table(self, capsys, part,
+                                                        rank):
+        code, out, err = run(capsys, "synth", "--part", part,
+                             "--rank", str(rank), "--theta", "0.7")
+        assert code == 0 and err == ""
+        assert json.loads(out)["num_ancilla"] == 2 * rank
+
+    @pytest.mark.parametrize("part", ["select", "w", "oaa"])
+    def test_qasm_past_sixteen_controls_exits_two(self, capsys, part):
+        # the rank-9 code-0 phase has 18 controls; lowered without ancillas
+        # it would be over 10^8 gates
+        code, out, err = run(capsys, "synth", "--part", part, "--rank", "9",
+                             "--theta", "0.7", "--qasm")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "export cap" in err
 
     def test_rank_nine_prepare_and_count_unaffected(self, capsys):
         code, out, _ = run(capsys, "synth", "--part", "prepare", "--rank", "9",

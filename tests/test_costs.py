@@ -114,7 +114,7 @@ class TestRealizedCounts:
         ])
         assert realized_cnot_count(circ) == 1 + 2 + 4 + 12 + 0 + 2
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9, 12])
     def test_select_is_linear_in_rank(self, n):
         # 6n - 2 for the excitation reference and masks (under the model's
         # 8n - 2) plus the one remaining nonlinear fix-up: the code-0

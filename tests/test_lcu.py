@@ -161,6 +161,17 @@ class TestRoundPolicy:
         assert verify_end_to_end(f, mode="oaa").passed
 
     @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("theta", [1e-16, -1e-16])
+    def test_sine_below_half_an_ulp_still_takes_a_round(self, n, theta):
+        # s rounds to 1.0, yet W leaks sqrt(2 |sin theta|) = 1.4e-8 off the
+        # ancilla vacuum: sin theta != 0 alone asks for one round
+        f = standard_factor(n, theta)
+        assert lcu_coefficients(n, theta).s_one_norm == 1.0
+        assert verify_end_to_end(f, mode="postselect").passed
+        r = verify_end_to_end(f, mode="oaa")
+        assert r.passed and r.rounds == 1 and r.leakage <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("theta", THETAS)
     def test_policy_invariants(self, n, theta):
         a = pad_and_synth_oaa(standard_factor(n, theta))
@@ -393,7 +404,10 @@ def test_long_gates_are_zero_code_phases(layout):
         f = UccFactor(occ, virt, theta, nq)
         select = {g.angle for g in synth_select(f).gates if len(g.controls) >= 3}
         select |= {-angle for angle in select}
-        reflection = matched_phases(lcu_coefficients(f.rank, theta).s_one_norm)[1]
+        s = lcu_coefficients(f.rank, theta).s_one_norm
+        if math.sin(theta):  # the round rule matches s < 1 + ulp to 1 + ulp
+            s = max(s, math.nextafter(1.0, 2.0))
+        reflection = matched_phases(s)[1]
         for circuit, angles in ((assemble_w(f), select),
                                 (pad_and_synth_oaa(f).oaa_circuit,
                                  select | {reflection})):

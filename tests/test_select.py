@@ -8,11 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import kron_pauli, select_dense_passes
+from oracles import kron_pauli, mobius_fixups, select_dense_passes
 from ucclcu.circuit import Circuit, Gate
+from ucclcu.cli import main
 from ucclcu.errors import PlanningError
 from ucclcu.fermion import (UccFactor, chain_qubits, excitation_pauli_sum,
                             projector_pauli_sum)
+from ucclcu.lcu import pad_and_synth_oaa
 from ucclcu.select import (code_phase_targets, derive_select_plan,
                            synth_select, verify_select)
 
@@ -139,10 +141,21 @@ class TestPlanGeneral:
 
 class TestPhaseTargets:
     def test_theta_zero_all_unit(self):
+        # every code but the identity has zero weight at theta = 0; its free
+        # unit follows the sign rule, sin theta = 0 counting as positive and
+        # cos theta - 1 as negative
         f = UccFactor((0, 1), (2, 3), 0.0, 4)
         plan = derive_select_plan(f)
         targets = code_phase_targets(f, plan)
-        assert all(p == 0 for p in targets.values())
+        for code, entry in plan.code_table.items():
+            if code == 0:
+                assert targets[code] == 0
+            elif sector_of(code, 4):
+                assert targets[code] == entry.coeff_power
+            else:
+                assert targets[code] == (entry.coeff_power + 2) % 4
+        assert targets == code_phase_targets(
+            UccFactor((0, 1), (2, 3), 1e-9, 4), plan)
 
     def test_positive_theta_signs(self):
         plan = derive_select_plan(ADJ2)
@@ -211,10 +224,6 @@ class TestSynthAndVerify:
         report = verify_select(ADJ2, plan, circuit=synth_select(flipped, plan))
         assert not report.passed
         assert sector_of(report.worst_code, 4) == 1
-
-    def test_system_offset_guard(self):
-        with pytest.raises(ValueError):
-            synth_select(ADJ2, system_offset=3)
 
 
 def dense_passes(f, plan, circuit):
@@ -324,7 +333,12 @@ class TestCodeBlock:
         assert report.max_deviation == math.inf
 
     def test_foreign_layout_is_refused(self):
-        circuit = synth_select(ADJ2, system_offset=5)
+        # ADJ2's SELECT with a spare wire between the bank and the system
+        select = synth_select(ADJ2)
+        shift = lambda q: q + 1 if q >= select.num_ancilla else q
+        circuit = Circuit(select.num_qubits + 1, [
+            Gate(g.kind, tuple(map(shift, g.targets)), g.angle, g.controls)
+            for g in select.gates], select.num_ancilla + 1)
         with pytest.raises(ValueError, match="laid out"):
             verify_select(ADJ2, circuit=circuit)
 
@@ -358,6 +372,18 @@ FIXUP_LAYOUTS = [
     ((0, 1, 2, 3, 4, 5), (6, 7, 8, 9, 10, 11), 12),
 ]
 FIXUP_THETAS = [0.0, 1e-20, math.pi, -math.pi, 2 * math.pi, 0.7, -2.5]
+REFERENCE_THETAS = [0.0, -0.0, 1e-9, 0.7, -0.7, math.pi / 2, -math.pi / 2,
+                    2.5, -2.5, math.pi, -math.pi, 3.0, 6.0]
+
+
+def layouts_of_rank(n):
+    """Adjacent, interleaved, and gapped with chain wires and a spectator."""
+    return [(tuple(range(n)), tuple(range(n, 2 * n)), 2 * n),
+            (tuple(range(0, 2 * n, 2)), tuple(range(1, 2 * n, 2)), 2 * n),
+            (tuple(range(0, 3 * n, 3)), tuple(range(3 * n + 1, 5 * n, 2)),
+             5 * n + 1)]
+
+
 GRID_THETAS = [0.0, 0.7, -0.7, math.pi / 2, -math.pi / 2, 2.5, -2.5, math.pi]
 
 
@@ -389,7 +415,20 @@ class TestPastTheDenseCap:
 
 
 class TestPhasePolynomial:
-    """The fix-ups past the dense cap, read off the gates themselves."""
+    """The closed-form fix-ups: read off the gates themselves, and matched
+    against the phase polynomial that a search over the code table finds."""
+
+    @pytest.mark.parametrize(
+        "layout", [lay for n in range(1, 8) for lay in layouts_of_rank(n)]
+        + [layouts_of_rank(8)[1]], ids=lambda lay: f"N{lay[2]}-{lay[0]}")
+    def test_closed_form_equals_mobius_reference(self, layout):
+        plan = derive_select_plan(UccFactor(*layout[:2], 0.7, layout[2]))
+        for theta in REFERENCE_THETAS:
+            f = UccFactor(layout[0], layout[1], theta, layout[2])
+            fixups = [g for g in synth_select(f).gates
+                      if g.kind in ("PHASE", "GLOBALPHASE")]
+            assert fixups == mobius_fixups(
+                plan, code_phase_targets(f, plan)), theta
 
     @pytest.mark.parametrize("layout", FIXUP_LAYOUTS)
     def test_fixups_meet_code_targets(self, layout):
@@ -406,16 +445,17 @@ class TestPhasePolynomial:
     @pytest.mark.parametrize("layout", [((0,), (1,), 2), ((0, 1), (4, 6), 7)]
                              + FIXUP_LAYOUTS)
     def test_fixup_shape(self, layout):
-        """At generic theta: the code-0 phase on all-negative controls, the
-        constant -1, S or S† on the sector wire and Z on wire 1; rank 1
-        keeps its two-gate polynomial."""
+        """The code-0 phase on all-negative controls, the constant -1, Z on
+        wire 1 and S or S† on the sector wire, at generic theta and at the
+        zero weights of theta = 0 and 1e-9 alike; rank 1 has its two gates."""
         plan = plan_for(*layout)
         na = plan.num_ancilla
-        for theta in (0.7, -0.7, 2.5, -2.5, 3.0):
+        for theta in (0.7, -0.7, 2.5, -2.5, 3.0, 0.0, -0.0, 1e-9):
             f = UccFactor(layout[0], layout[1], theta, layout[2])
             fixups = [g for g in synth_select(f, plan).gates
                       if g.kind in ("PHASE", "GLOBALPHASE")]
-            s = math.copysign(math.pi / 2, math.sin(theta))
+            # sin theta = 0 counts as positive
+            s = -math.pi / 2 if math.sin(theta) < 0 else math.pi / 2
             if na == 2:
                 assert fixups == [Gate("PHASE", (0,), -s),
                                   Gate("PHASE", (0,), math.pi, ((1, "+"),))]
@@ -426,6 +466,19 @@ class TestPhasePolynomial:
                 Gate("GLOBALPHASE", (), math.pi),
                 Gate("PHASE", (1,), math.pi),
                 Gate("PHASE", (0,), s)], theta
+
+    def test_synthesis_builds_no_code_table(self, monkeypatch, capsys):
+        def refuse(f):
+            raise AssertionError("the code table was built")
+
+        monkeypatch.setattr("ucclcu.select.derive_select_plan", refuse)
+        monkeypatch.setattr("ucclcu.cli.derive_select_plan", refuse)
+        f = UccFactor((0, 2, 4), (1, 3, 5), 0.7, 6)
+        assert len(synth_select(f).gates) == 6 + 2 * 5 + 4
+        assert pad_and_synth_oaa(f).oaa_rounds == 1
+        assert main(["synth", "--part", "oaa", "--rank", "3",
+                     "--theta", "0.7"]) == 0
+        assert json.loads(capsys.readouterr().out)["num_ancilla"] == 6
 
     def test_phase_outside_z4_is_refused(self, monkeypatch):
         # a coefficient unit off the powers of i is refused at planning time
