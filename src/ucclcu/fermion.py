@@ -14,6 +14,7 @@ Conventions (fixed throughout the package):
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -108,30 +109,23 @@ def excitation_pauli_sum(f: UccFactor) -> PauliSum:
 
 
 def projector_pauli_sum(f: UccFactor) -> PauliSum:
-    """A A† + A† A as a PauliSum of diagonal (I/Z) strings.
+    """A A† + A† A in closed form: 2^{1-2n} Σ_S (-1)^{|S ∩ virtuals|} Z_S over
+    the even-sized subsets S of the 2n actives.
 
-    A A† projects onto (all virtuals filled, all occupied empty); A† A onto the
-    complement pattern.  Both are products of number operators
-    n_k = (I - Z_k)/2 and their complements, so every term is diagonal.
+    A A† = ∏_v n_v ∏_o (1 - n_o) projects onto (all virtuals filled, all
+    occupied empty) and A† A = ∏_o n_o ∏_v (1 - n_v) onto the complement
+    pattern.  With n = (I - Z)/2 each expands to 2^{-2n} Σ_S ±Z_S, the sign
+    (-1)^{|S ∩ virtuals|} in A A† and (-1)^{|S ∩ occupied|} in A† A; the two
+    agree when |S| is even and differ when it is odd, so in the sum the odd
+    subsets cancel and the even ones double.
     """
-    nq = f.num_qubits
-
-    def number(q: int, filled: bool) -> PauliSum:
-        z = PauliString(nq, 0, _bit(nq, q))
-        return PauliSum(nq, [(PauliString.identity(nq), 0.5),
-                             (z, -0.5 if filled else 0.5)])
-
-    a_adag = PauliSum.identity(nq)
-    for a in f.virtuals:
-        a_adag = a_adag * number(a, True)
-    for i in f.occupied:
-        a_adag = a_adag * number(i, False)
-    adag_a = PauliSum.identity(nq)
-    for a in f.virtuals:
-        adag_a = adag_a * number(a, False)
-    for i in f.occupied:
-        adag_a = adag_a * number(i, True)
-    return (a_adag + adag_a).prune()
+    nq, weight = f.num_qubits, 2.0 ** (1 - 2 * f.rank)
+    virtuals = set(f.virtuals)
+    return PauliSum(nq, [
+        (PauliString.z_on(nq, subset),
+         -weight if len(virtuals.intersection(subset)) % 2 else weight)
+        for size in range(0, 2 * f.rank + 1, 2)
+        for subset in itertools.combinations(f.actives, size)])
 
 
 def ucc_factor_expand(f: UccFactor) -> PauliSum:

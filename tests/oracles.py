@@ -2,15 +2,18 @@
 
 Everything here is built the slow, obvious way — Kronecker products, explicit
 basis-state loops, eigendecomposition exponentials — sharing no code with the
-package, so agreement between the two is meaningful.  The one exception is
+package, so agreement between the two is meaningful.  The exceptions are
 `select_dense_passes`, which runs whole circuits on the package's
-statevector kernel; that kernel is itself checked against the column-by-column
-`controlled_unitary` here.
+statevector kernel, itself checked against the column-by-column
+`controlled_unitary` here, and `projector_by_products`, which multiplies
+out number operators in the package's Pauli algebra, itself checked against
+dense matrices in test_pauli.py.
 """
 
 import numpy as np
 
 from ucclcu.circuit import Gate, apply_circuit
+from ucclcu.pauli import PauliString, PauliSum
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -63,6 +66,27 @@ def exact_factor_unitary(occupied, virtuals, theta: float,
     h = 1j * (a - a.conj().T)
     w, v = np.linalg.eigh(h)
     return v @ np.diag(np.exp(-1j * theta * w)) @ v.conj().T
+
+
+def projector_by_products(f) -> PauliSum:
+    """A A† + A† A for the factor f as products of number-operator sums:
+    A A† = prod_v n_v prod_o (1 - n_o) and A† A = prod_o n_o prod_v (1 - n_v),
+    with n_k = (I - Z_k)/2, multiplied out term by term."""
+    nq = f.num_qubits
+
+    def number(q, filled):
+        z = PauliString.z_on(nq, [q])
+        return PauliSum(nq, [(PauliString.identity(nq), 0.5),
+                             (z, -0.5 if filled else 0.5)])
+
+    a_adag = adag_a = PauliSum.identity(nq)
+    for q in f.virtuals:
+        a_adag = a_adag * number(q, True)
+        adag_a = adag_a * number(q, False)
+    for q in f.occupied:
+        a_adag = a_adag * number(q, False)
+        adag_a = adag_a * number(q, True)
+    return (a_adag + adag_a).prune()
 
 
 def controlled_unitary(width: int, matrix: np.ndarray, target: int,

@@ -202,6 +202,7 @@ class TestVerify:
         ("--theta", "0.5", "--tol", "inf"),
     ], ids=["empty-grid", "nan-tol", "negative-tol", "inf-tol"])
     def test_malformed_grid_or_tolerance_exits_two(self, capsys, argv):
+        # the tolerance is checked once, by verify_end_to_end
         code, out, err = run(capsys, "verify", "--rank", "1", *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:")
@@ -400,16 +401,20 @@ class TestErrorsAndMeta:
         assert report["pass"] is False
         assert report["grid"][0]["deviation"] == math.inf
 
-    def test_postselect_bytes_do_not_follow_blas_threads(self):
-        # the kept register is 5 qubits; the leakage norm comes from the
-        # eigenvalues of a small Gram matrix, so oaa's bytes hold too
-        for mode in ("postselect", "oaa"):
-            argv = ("verify", "--occ", "0,2", "--virt", "5,7", "--n-qubits",
-                    "9", "--theta", "0.3,0.7,2.5", "--mode", mode)
-            outs = [run_child(*argv, OPENBLAS_NUM_THREADS=threads)
-                    for threads in ("1", "2")]
-            assert all(proc.returncode == 0 for proc in outs)
-            assert outs[0].stdout == outs[1].stdout, mode
+    def test_verify_bytes_do_not_follow_blas_threads(self):
+        # every norm comes from the eigenvalues of a small Gram matrix; the
+        # kept registers are 5 and 7 qubits, the second a rank-3 chain
+        # layout whose oaa digits an SVD of the block moved with the threads
+        layouts = [("--occ", "0,2", "--virt", "5,7", "--n-qubits", "9"),
+                   ("--occ", "0,2,3", "--virt", "5,7,8", "--n-qubits", "10")]
+        for layout in layouts:
+            for mode in ("postselect", "oaa"):
+                argv = ("verify", *layout, "--theta", "0.3,0.7,2.5",
+                        "--mode", mode)
+                outs = [run_child(*argv, OPENBLAS_NUM_THREADS=threads)
+                        for threads in ("1", "2")]
+                assert all(proc.returncode == 0 for proc in outs)
+                assert outs[0].stdout == outs[1].stdout, (layout, mode)
 
     @pytest.mark.parametrize("argv, message", [
         (("plan", "--rank", "9"), "code table"),

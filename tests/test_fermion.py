@@ -13,7 +13,8 @@ from ucclcu.fermion import (UccFactor, chain_qubits, exact_unitary,
 from ucclcu.pauli import PauliString
 
 from oracles import (annihilation_matrix, creation_matrix,
-                     exact_factor_unitary, excitation_matrix)
+                     exact_factor_unitary, excitation_matrix,
+                     projector_by_products)
 
 
 class TestJwLadder:
@@ -123,6 +124,7 @@ class TestProjectorSum:
 
     @pytest.mark.parametrize("occ,virt,nq", [
         ((0,), (1,), 2), ((0, 1), (2, 3), 4), ((0, 1), (4, 6), 7),
+        ((0, 3), (1, 2), 5), ((1, 3, 4), (0, 5, 7), 8),
     ])
     def test_matches_dense_projectors(self, occ, virt, nq):
         f = UccFactor(occ, virt, 0.5, nq)
@@ -130,6 +132,23 @@ class TestProjectorSum:
         adag = a.conj().T
         np.testing.assert_allclose(projector_pauli_sum(f).to_dense(),
                                    a @ adag + adag @ a, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["adjacent", "virtuals-below",
+                                      "interleaved", "gapped"])
+    def test_matches_number_operator_products(self, n, kind):
+        # term for term and bit for bit: every coefficient is +-2^{1-2n}
+        occ, virt, nq = {
+            "adjacent": (range(n), range(n, 2 * n), 2 * n),
+            "virtuals-below": (range(n, 2 * n), range(n), 2 * n),
+            "interleaved": (range(1, 2 * n, 2), range(0, 2 * n, 2), 2 * n),
+            "gapped": (range(0, 3 * n, 3), range(3 * n, 5 * n, 2), 5 * n),
+        }[kind]
+        f = UccFactor(tuple(occ), tuple(virt), 0.5, nq)
+        got = [(p.key(), c) for p, c in projector_pauli_sum(f).terms()]
+        want = [(p.key(), c) for p, c in projector_by_products(f).terms()]
+        assert got == want
+        assert len(got) == 1 << (2 * n - 1)
 
     def test_rank2_diagonal_sign_table(self):
         f = UccFactor((0, 1), (2, 3), 1.0, 4)

@@ -17,8 +17,8 @@ from ucclcu.errors import ResourceLimitError
 from ucclcu.fermion import UccFactor, chain_qubits, exact_unitary
 from ucclcu.lcu import (ancilla_zero_block, assemble_w,
                         exact_amplification_one_norm, matched_phases,
-                        pad_and_synth_oaa, phase_aligned_deviation,
-                        reflection_on_ancilla, verify_end_to_end)
+                        pad_and_synth_oaa, reflection_on_ancilla,
+                        verify_end_to_end)
 from ucclcu.prepare import lcu_coefficients, synth_prepare
 from ucclcu.select import derive_select_plan, synth_select
 
@@ -29,10 +29,19 @@ def standard_factor(n, theta):
     return UccFactor(tuple(range(n)), tuple(range(n, 2 * n)), theta, 2 * n)
 
 
-def oaa_phase(f):
-    """The phase that best aligns the full-register OAA block with U."""
-    block = ancilla_zero_block(pad_and_synth_oaa(f).oaa_circuit)[0]
-    return phase_aligned_deviation(block, exact_unitary(f))[1]
+def circuit_for(f, mode):
+    return assemble_w(f) if mode == "postselect" else \
+        pad_and_synth_oaa(f).oaa_circuit
+
+
+def full_deviation(f, mode):
+    """||scale·block - U||_2 of the whole emitted circuit's ancilla-zero
+    block, by SVD and with no phase alignment: scale s for postselect, 1 for
+    oaa."""
+    block = ancilla_zero_block(circuit_for(f, mode))[0]
+    scale = lcu_coefficients(f.rank, f.theta).s_one_norm \
+        if mode == "postselect" else 1.0
+    return float(np.linalg.norm(scale * block - exact_unitary(f), 2))
 
 
 class TestAmplificationNorms:
@@ -204,26 +213,6 @@ class TestPostselection:
         assert peak < 1 << 20
 
 
-class TestPhaseAlignment:
-    def test_removes_global_phase(self):
-        u = exact_unitary(standard_factor(1, 0.6))
-        dev, phi = phase_aligned_deviation(np.exp(0.3j) * u, u)
-        assert dev < 1e-12
-        assert phi == pytest.approx(-0.3, abs=1e-12)
-
-    def test_aligned_input_keeps_zero_angle(self):
-        u = exact_unitary(standard_factor(1, 0.6))
-        dev, phi = phase_aligned_deviation(u, u)
-        assert dev < 1e-12 and abs(phi) < 1e-12
-
-    def test_orthogonal_overlap_defaults_to_zero_angle(self):
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        z = np.diag([1.0, -1.0]).astype(complex)
-        dev, phi = phase_aligned_deviation(x, z)
-        assert phi == 0.0
-        assert dev == pytest.approx(math.sqrt(2.0), abs=1e-12)
-
-
 class TestEndToEnd:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("theta", THETAS)
@@ -241,7 +230,7 @@ class TestEndToEnd:
         assert r.passed
         assert r.deviation <= 1e-13
         assert r.leakage <= 1e-13
-        assert abs(oaa_phase(standard_factor(n, theta))) <= 1e-12
+        assert full_deviation(standard_factor(n, theta), "oaa") <= 1e-13
 
     def test_half_pi_rank2_probability(self):
         r = verify_end_to_end(standard_factor(2, math.pi / 2),
@@ -253,7 +242,7 @@ class TestEndToEnd:
         for mode in ("postselect", "oaa"):
             r = verify_end_to_end(f, mode=mode)
             assert r.passed, mode
-        assert abs(oaa_phase(f)) <= 1e-12
+            assert full_deviation(f, mode) <= 1e-13, mode
 
     def test_theta_zero(self):
         r = verify_end_to_end(standard_factor(1, 0.0), mode="oaa")
@@ -262,6 +251,29 @@ class TestEndToEnd:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             verify_end_to_end(standard_factor(1, 0.5), mode="amplify")
+
+    @pytest.mark.parametrize("mode", ["postselect", "oaa"])
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan, -1.0, -1e-300])
+    def test_tolerance_must_be_finite_and_nonnegative(self, mode, tolerance):
+        # an infinite tolerance would pass a W with a stray X on an active
+        # wire in postselect mode; a NaN or negative one would fail every W
+        with pytest.raises(ValueError, match="tolerance"):
+            verify_end_to_end(standard_factor(1, 0.5), mode=mode,
+                              tolerance=tolerance)
+
+    def test_zero_tolerance_is_a_tolerance(self):
+        r = verify_end_to_end(standard_factor(1, 0.0), mode="postselect",
+                              tolerance=0.0)
+        assert r.deviation == 0.0 and r.passed
+
+    @pytest.mark.parametrize("mode", ["postselect", "oaa"])
+    def test_global_phase_on_w_fails(self, monkeypatch, mode):
+        # no phase is aligned away: a W off by e^{1e-6 i} deviates by 1e-6
+        monkeypatch.setattr("ucclcu.lcu.assemble_w", lambda f: assemble_w(
+            f).append(Gate("GLOBALPHASE", (), 1e-6)))
+        r = verify_end_to_end(standard_factor(1, 0.7), mode=mode)
+        assert not r.passed
+        assert r.deviation == pytest.approx(1e-6, rel=1e-3)
 
 
 # (occ, virt, N) with spectators: gapped and interleaved, with no chain, one
@@ -275,11 +287,6 @@ SPECTATOR_LAYOUTS = [
     ((0, 4), (2, 6), 7),      # interleaved, chains 1, 5
 ]
 SPECTATOR_THETAS = [0.7, -2.5, math.pi / 2]
-
-
-def circuit_for(f, mode):
-    return assemble_w(f) if mode == "postselect" else \
-        pad_and_synth_oaa(f).oaa_circuit
 
 
 class TestSpectatorReduction:
@@ -318,11 +325,7 @@ class TestSpectatorReduction:
                     (theta, bits)
 
             s = lcu_coefficients(f.rank, theta).s_one_norm
-            if mode == "postselect":
-                deviation = phase_aligned_deviation(s * full, exact_unitary(f))[0]
-            else:
-                deviation, phase = phase_aligned_deviation(full, exact_unitary(f))
-                assert abs(phase) <= 1e-12
+            deviation = full_deviation(f, mode)
             r = verify_end_to_end(f, mode=mode)
             assert abs(r.deviation - deviation) <= 1e-14
             assert abs(r.leakage - leakage) <= 1e-14
@@ -448,7 +451,7 @@ def assert_both_modes_pass(f):
     for mode in ("postselect", "oaa"):
         r = verify_end_to_end(f, mode=mode)
         assert r.passed, (f, mode, r.deviation, r.leakage)
-    assert abs(oaa_phase(f)) <= 1e-12, f
+        assert full_deviation(f, mode) <= 1e-12, (f, mode)
 
 
 class TestRandomLayouts:
@@ -459,6 +462,16 @@ class TestRandomLayouts:
         f = UccFactor(occ, virt, theta, nq)
         assert derive_select_plan(f).code_table[0].string.is_identity()
         assert_both_modes_pass(f)
+
+    @given(random_layouts(), st.one_of(st.floats(-7.0, 7.0), st.sampled_from(
+        [0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, 2.5])))
+    @settings(max_examples=25, deadline=None)
+    def test_postselect_block_carries_no_phase(self, layout, theta):
+        # verify aligns no phase, so a global phase on W would show here
+        occ, virt, nq = layout
+        r = verify_end_to_end(UccFactor(occ, virt, theta, nq),
+                              mode="postselect")
+        assert r.deviation <= 1e-13, (layout, theta, r.deviation)
 
     @pytest.mark.parametrize("offset,wide", [(-1e-6, 0), (1e-6, 0),
                                              (-2e-6, 1), (2e-6, 1)])
