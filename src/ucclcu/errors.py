@@ -6,8 +6,8 @@ class DimensionError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A request past a size cap: a dense array past the dense cap (see
-    pauli.check_dense) or a SELECT code table past rank 8."""
+    """A request past a size cap: a dense array past `pauli.check_dense`'s
+    cap, a SELECT code table past rank 8, or a verify past 11 kept wires."""
 
 
 class AngleDomainError(ValueError):

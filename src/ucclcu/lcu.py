@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Gate, apply_circuit, restrict
+from .errors import ResourceLimitError
 from .fermion import UccFactor, chain_qubits, exact_unitary
 from .pauli import check_dense
 from .prepare import lcu_coefficients, synth_prepare
@@ -128,25 +129,48 @@ def pad_and_synth_oaa(f: UccFactor) -> LcuAssembly:
     return LcuAssembly(s, exact_amplification_one_norm(m), 0, m, w, oaa)
 
 
-def _spectral_norm(matrix: np.ndarray) -> float:
-    """||M||_2 as sqrt(max eigvalsh(M^H M)).  Unlike an SVD of M, its digits
-    did not follow the BLAS thread count on the blocks of up to 128 columns
-    measured (rank 3 with a chain wire); on 256-column blocks (rank 4) they
-    still move."""
-    gram_max = float(np.linalg.eigvalsh(matrix.conj().T @ matrix)[-1])
-    return math.sqrt(max(gram_max, 0.0))
+def _spectral_norm(blocks: np.ndarray) -> float:
+    """max ||M||_2 over a batch of M (..., rows, 2): sqrt of the top eigenvalue
+    of the 2×2 Grams MᴴM.  No BLAS runs, so no digit follows its threads."""
+    gram = np.einsum("...ri,...rj->...ij", blocks.conj(), blocks)
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[..., -1].max()), 0.0))
 
 
-def ancilla_zero_block(circuit: Circuit) -> tuple[np.ndarray, float]:
-    """(⟨0|_anc C |0⟩_anc as a system matrix, spectral norm of the leakage L,
-    the rows off the ancilla vacuum, from `_spectral_norm`)."""
-    num_sys = circuit.num_qubits - circuit.num_ancilla
-    check_dense(circuit.num_qubits, num_sys, "ancilla-zero column batch")
-    dim_sys = 1 << num_sys
-    cols = np.zeros((1 << circuit.num_qubits, dim_sys), dtype=complex)
-    cols[:dim_sys] = np.eye(dim_sys)
-    out = apply_circuit(circuit, cols)
-    return out[:dim_sys], _spectral_norm(out[dim_sys:])
+def _pair_rows(n: int, mask: int) -> np.ndarray:
+    """[y, y ^ mask] for each y < 2^n whose pivot bit, mask's highest, is 0."""
+    low = np.flatnonzero(~np.arange(1 << n) & 1 << mask.bit_length() >> 1)
+    return np.stack([low, low ^ mask], axis=1)
+
+
+def ancilla_zero_block(circuit: Circuit, mask: int) -> tuple[np.ndarray, float]:
+    """(⟨0|_anc C |0⟩_anc on the pairs {y, y ^ mask} in `_pair_rows` order,
+    shape (pairs, 2, 2); the leakage's spectral norm) from two columns, the
+    sums of |0⟩|y⟩ over pivot bit 0 and 1.  ValueError unless every system
+    gate is an X, Y, Z, PHASE or RZ controlled on ancillas, and in each run
+    of them (cut by an H, X, Y, RX or RY on an ancilla) the X's and Y's that
+    fire on a code flip no wire or all of mask: then pairs never meet."""
+    na, nq = circuit.num_ancilla, circuit.num_qubits
+    check_dense(nq, 1, "two-column batch")
+    codes, flips = np.arange(1 << na), np.zeros(1 << na, dtype=np.int64)
+    for g in [*circuit.gates, None]:  # None closes the last run
+        t = g.targets[0] if g is not None and g.targets else -1
+        if t >= na and (g.kind not in ("X", "Y", "Z", "PHASE", "RZ") or
+                        any(q >= na for q, _ in g.controls)):
+            raise ValueError(f"{g} can leave the pairs")
+        if t >= na and g.kind in ("X", "Y"):
+            on = sum(1 << (na - 1 - q) for q, _ in g.controls)
+            fire = sum(1 << (na - 1 - q) for q, p in g.controls if p == "+")
+            flips[codes & on == fire] ^= 1 << (nq - 1 - t)
+        elif (g is None or g.kind in ("H", "X", "Y", "RX", "RY")) and flips.any():
+            if not np.all((flips == 0) | (flips == mask)):
+                raise ValueError("a run of system gates leaves the pairs")
+            flips[:] = 0
+    rows = _pair_rows(nq - na, mask)
+    cols = np.zeros((1 << nq, 2), dtype=complex)
+    cols[rows, [0, 1]] = 1.0
+    out = apply_circuit(circuit, cols).reshape(1 << na, -1, 2)[:, rows]
+    return out[0], _spectral_norm(np.moveaxis(out[1:], 0, 1).reshape(
+        len(rows), -1, 2))
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,45 +187,51 @@ def verify_end_to_end(f: UccFactor, mode: str = "oaa",
                       tolerance: float = 1e-8) -> EndToEndReport:
     """Compare the realized system block against the exact unitary U as it
     stands: W carries no global phase and the amplified block is U itself,
-    so no phase is searched for.
-
-    mode "postselect": W; the deviation ||s·⟨0|W|0⟩ - U||_2 must be within
-    tolerance and the success probability p = ||⟨0|W|0⟩||_2² within 1e-9 of
-    1/s².
-    mode "oaa": m-round phase-matched amplification; the deviation
-    ||⟨0|OAA|0⟩ - U||_2 and the ancilla leakage must both be within
-    tolerance.
-    Every norm comes from the eigenvalues of a Gram matrix (`_spectral_norm`).
+    so no phase is searched for.  Mode "postselect" runs W: the deviation
+    ||s·⟨0|W|0⟩ - U||_2 must be within tolerance and the success probability
+    p = ||⟨0|W|0⟩||_2² within 1e-9 of 1/s².  Mode "oaa" runs m phase-matched
+    rounds: ||⟨0|OAA|0⟩ - U||_2 and the leakage must be within tolerance.
 
     Only the 2n actives and the first chain wire, if any, are simulated: the
     emitted circuits touch the other system wires (spectators) only with
     sector-controlled Z's on chain wires, so the block with spectators held
     at |0⟩ by `restrict` is matched against the factor re-indexed onto the
-    kept wires, and the dense cap judges that block.  A gate that can move
-    a spectator fails the check (deviation and leakage inf).  A tolerance
-    that is negative or not finite raises ValueError.
+    kept wires.  Past 11 kept wires (rank 6) ResourceLimitError comes first.
+
+    Pairs: each SELECT code applies X on none or all of the actives A, so C
+    maps |0⟩|y⟩ into span{|a⟩|y⟩, |a⟩|y ⊕ A⟩} and U mixes y with y ⊕ A
+    alone: each norm is the largest over the 2×2 pair blocks.  U nonzero off
+    the pairs, or a circuit that `ancilla_zero_block` refuses or that moves a
+    spectator, gives deviation inf.  Tolerance < 0, inf or NaN: ValueError.
     """
     if mode not in ("postselect", "oaa"):
         raise ValueError("mode must be 'postselect' or 'oaa'")
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    kept = sorted(set(f.actives) | set(chain_qubits(f)[:1]))
+    if len(kept) > 11:
+        raise ResourceLimitError(
+            f"verify on {len(kept)} wires exceeds the cap of 11 (rank 5)")
     s = lcu_coefficients(f.rank, f.theta).s_one_norm
     if mode == "postselect":
         circuit, rounds, scale = assemble_w(f), 0, s
     else:
         assembly = pad_and_synth_oaa(f)
         circuit, rounds, scale = assembly.oaa_circuit, assembly.oaa_rounds, 1.0
-    kept = sorted(set(f.actives) | set(chain_qubits(f)[:1]))
-    spectators = set(range(f.num_qubits)) - set(kept)
+    mask = sum(1 << (len(kept) - 1 - kept.index(q)) for q in f.actives)
     try:
-        circuit = restrict(circuit, {circuit.num_ancilla + q for q in spectators})
+        circuit = restrict(circuit, {circuit.num_ancilla + q for q in
+                                     range(f.num_qubits) if q not in kept})
+        block, leakage = ancilla_zero_block(circuit, mask)
     except ValueError:
         return EndToEndReport(s, rounds, math.inf, math.inf, None, False)
-    block, leakage = ancilla_zero_block(circuit)
     reference = exact_unitary(UccFactor(
         tuple(map(kept.index, f.occupied)), tuple(map(kept.index, f.virtuals)),
         f.theta, len(kept)))
-    deviation = _spectral_norm(scale * block - reference)
+    rows = _pair_rows(len(kept), mask)
+    paired = reference[rows[:, :, None], rows[:, None, :]]
+    deviation = _spectral_norm(scale * block - paired) \
+        if np.count_nonzero(paired) == np.count_nonzero(reference) else math.inf
     if mode == "postselect":
         probability = _spectral_norm(block) ** 2
         prob_ok = abs(probability - 1.0 / (s * s)) <= 1e-9

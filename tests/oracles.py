@@ -3,11 +3,11 @@
 Everything here is built the slow, obvious way — Kronecker products, explicit
 basis-state loops, eigendecomposition exponentials — sharing no code with the
 package, so agreement between the two is meaningful.  The exceptions are
-`select_dense_passes`, which runs whole circuits on the package's
-statevector kernel, itself checked against the column-by-column
-`controlled_unitary` here, and `projector_by_products`, which multiplies
-out number operators in the package's Pauli algebra, itself checked against
-dense matrices in test_pauli.py.
+`select_dense_passes` and `full_register_block`, which run whole circuits
+on the package's statevector kernel, itself checked against the
+column-by-column `controlled_unitary` here, and `projector_by_products`,
+which multiplies out number operators in the package's Pauli algebra,
+itself checked against dense matrices in test_pauli.py.
 """
 
 import numpy as np
@@ -148,6 +148,18 @@ def select_dense_passes(circuit, expected, tolerance: float = 1e-10) -> bool:
         if np.linalg.norm(got) > tolerance:
             return False
     return True
+
+
+def full_register_block(circuit):
+    """The identity-column route: (⟨0|_anc C |0⟩_anc as a dense system
+    matrix, the spectral norm of the leakage rows by SVD), from all 2^N
+    system basis columns at once, with no assumption on the circuit."""
+    dim_sys = 1 << (circuit.num_qubits - circuit.num_ancilla)
+    cols = np.zeros((1 << circuit.num_qubits, dim_sys), dtype=complex)
+    cols[:dim_sys] = np.eye(dim_sys)
+    out = apply_circuit(circuit, cols)
+    leak = out[dim_sys:]
+    return out[:dim_sys], float(np.linalg.norm(leak, 2)) if leak.size else 0.0
 
 
 _QUARTER_TURNS = {1: np.pi / 2, 2: np.pi, 3: -np.pi / 2}

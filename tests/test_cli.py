@@ -359,20 +359,30 @@ class TestErrorsAndMeta:
         assert "nonempty" in err
 
     def test_over_cap_verify_exits_two(self):
-        # the rank-5 OAA block is 2^20 x 2^10 complex entries (16 GiB)
-        proc = run_child("verify", "--rank", "5", "--theta", "0.5", limit_gib=4)
+        # rank 6 keeps 12 wires, the first request past verify's cap of 11;
+        # its two-column batch alone would be 2^25 complex entries (512 MiB)
+        proc = run_child("verify", "--rank", "6", "--theta", "0.5", limit_gib=1)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error:")
         assert "exceeds the cap" in proc.stderr
 
     def test_over_cap_block_refused_before_the_reference(self):
-        # spectator 11 is fixed; the kept register is the ten actives and
-        # chain wire 5, so the OAA block is 2^21 x 2^11, over the cap
-        proc = run_child("verify", "--occ", "0,1,2,3,4", "--virt", "6,7,8,9,10",
-                         "--n-qubits", "12", "--theta", "0.5", limit_gib=2)
+        # spectator 13 is fixed; the kept register is the twelve actives and
+        # chain wire 6, 13 wires, refused before any array is built
+        proc = run_child("verify", "--occ", "0,1,2,3,4,5",
+                         "--virt", "7,8,9,10,11,12", "--n-qubits", "14",
+                         "--theta", "0.5", limit_gib=1)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error:")
         assert "exceeds the cap" in proc.stderr
+
+    def test_rank_five_verifies_in_two_columns(self):
+        # 20 wires: the identity-column route needed a 2^20 x 2^10 batch
+        # (16 GiB); two columns take 32 MiB
+        proc = run_child("verify", "--rank", "5", "--theta", "0.7",
+                         limit_gib=1)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["pass"] is True
 
     @pytest.mark.parametrize("layout", [
         ("--occ", "0,1", "--virt", "2,11", "--n-qubits", "12",
@@ -402,19 +412,22 @@ class TestErrorsAndMeta:
         assert report["grid"][0]["deviation"] == math.inf
 
     def test_verify_bytes_do_not_follow_blas_threads(self):
-        # every norm comes from the eigenvalues of a small Gram matrix; the
-        # kept registers are 5 and 7 qubits, the second a rank-3 chain
-        # layout whose oaa digits an SVD of the block moved with the threads
+        # every norm comes from the eigenvalues of 2x2 Gram matrices formed
+        # without BLAS: a gapped rank 2 and a rank-3 chain layout in both
+        # modes, and rank 4 with and without a chain wire in oaa mode
         layouts = [("--occ", "0,2", "--virt", "5,7", "--n-qubits", "9"),
                    ("--occ", "0,2,3", "--virt", "5,7,8", "--n-qubits", "10")]
-        for layout in layouts:
-            for mode in ("postselect", "oaa"):
-                argv = ("verify", *layout, "--theta", "0.3,0.7,2.5",
-                        "--mode", mode)
-                outs = [run_child(*argv, OPENBLAS_NUM_THREADS=threads)
-                        for threads in ("1", "2")]
-                assert all(proc.returncode == 0 for proc in outs)
-                assert outs[0].stdout == outs[1].stdout, (layout, mode)
+        rank4 = [("--rank", "4"),
+                 ("--occ", "0,1,2,3", "--virt", "4,5,6,8", "--n-qubits", "9")]
+        runs = [(layout, mode) for layout in layouts
+                for mode in ("postselect", "oaa")] + \
+            [(layout, "oaa") for layout in rank4]
+        for layout, mode in runs:
+            argv = ("verify", *layout, "--theta", "0.3,0.7,2.5", "--mode", mode)
+            outs = [run_child(*argv, OPENBLAS_NUM_THREADS=threads)
+                    for threads in ("1", "2")]
+            assert all(proc.returncode == 0 for proc in outs)
+            assert outs[0].stdout == outs[1].stdout, (layout, mode)
 
     @pytest.mark.parametrize("argv, message", [
         (("plan", "--rank", "9"), "code table"),

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import full_register_block
 
 from ucclcu.circuit import Circuit, Gate, restrict, unitary_of
 from ucclcu.errors import ResourceLimitError
@@ -34,11 +35,39 @@ def circuit_for(f, mode):
         pad_and_synth_oaa(f).oaa_circuit
 
 
-def full_deviation(f, mode):
-    """||scale·block - U||_2 of the whole emitted circuit's ancilla-zero
-    block, by SVD and with no phase alignment: scale s for postselect, 1 for
-    oaa."""
-    block = ancilla_zero_block(circuit_for(f, mode))[0]
+def active_mask(f):
+    """Bit mask of the actives over f's whole system register."""
+    return sum(1 << (f.num_qubits - 1 - q) for q in f.actives)
+
+
+def pair_rows(num_sys, mask):
+    """[y, y ^ mask] for every y whose bit under mask's highest bit is 0."""
+    low = [y for y in range(1 << num_sys)
+           if not y & (1 << (mask.bit_length() - 1))]
+    return np.array([[y, y ^ mask] for y in low])
+
+
+def dense_of_pairs(pairs, num_sys, mask):
+    """Scatter `ancilla_zero_block`'s pair blocks into a dense system matrix,
+    0 off the pairs {y, y ^ mask}."""
+    rows = pair_rows(num_sys, mask)
+    out = np.zeros((1 << num_sys, 1 << num_sys), dtype=complex)
+    out[rows[:, :, None], rows[:, None, :]] = pairs
+    return out
+
+
+def off_pairs(num_sys, mask):
+    """True on the entries (y, y') of a system matrix with y' not in
+    {y, y ^ mask}."""
+    y = np.arange(1 << num_sys)
+    return (y[:, None] != y[None, :]) & (y[:, None] != (y[None, :] ^ mask))
+
+
+def full_deviation(f, mode, circuit=None):
+    """||scale·block - U||_2 of the whole emitted circuit's (or `circuit`'s)
+    ancilla-zero block, from the full-register oracle, by SVD and with no
+    phase alignment: scale s for postselect, 1 for oaa."""
+    block = full_register_block(circuit or circuit_for(f, mode))[0]
     scale = lcu_coefficients(f.rank, f.theta).s_one_norm \
         if mode == "postselect" else 1.0
     return float(np.linalg.norm(scale * block - exact_unitary(f), 2))
@@ -66,7 +95,8 @@ class TestAssembleW:
         f = standard_factor(1, 0.8)
         w = assemble_w(f)
         s = lcu_coefficients(1, 0.8).s_one_norm
-        block, leakage = ancilla_zero_block(w)
+        pairs, leakage = ancilla_zero_block(w, active_mask(f))
+        block = dense_of_pairs(pairs, f.num_qubits, active_mask(f))
         assert np.linalg.norm(s * block - exact_unitary(f), 2) < 1e-12
         # leakage columns fill the unitarity defect isotropically
         assert leakage == pytest.approx(math.sqrt(1.0 - 1.0 / s ** 2),
@@ -195,18 +225,18 @@ class TestRoundPolicy:
 
 class TestPostselection:
     def test_no_ancilla_block_is_whole_unitary(self):
+        # one pair {0, 1}: the block is the whole X
         circ = Circuit(1, [Gate("X", (0,))])
-        block, leakage = ancilla_zero_block(circ)
+        block, leakage = ancilla_zero_block(circ, 1)
         assert leakage == 0.0
-        assert np.allclose(block, np.array([[0, 1], [1, 0]]))
+        assert np.array_equal(block, np.array([[[0, 1], [1, 0]]]))
 
     def test_oversized_column_batch_refused_before_allocating(self):
-        # 21 wires over 10 system qubits: 2^21 x 2^10 complex columns would
-        # take 32 GiB
+        # 28 wires: even two columns of 2^28 complex entries take 8 GiB
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match="exceeds the cap"):
-                ancilla_zero_block(Circuit(21, num_ancilla=11))
+                ancilla_zero_block(Circuit(28, num_ancilla=11), 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -291,7 +321,7 @@ SPECTATOR_THETAS = [0.7, -2.5, math.pi / 2]
 
 class TestSpectatorReduction:
     """verify_end_to_end simulates only the actives and the first chain
-    wire; the full-register route, `ancilla_zero_block` of the whole
+    wire; the full-register route, `full_register_block` of the whole
     emitted circuit, is the oracle."""
 
     @pytest.mark.parametrize("mode", ["postselect", "oaa"])
@@ -310,9 +340,9 @@ class TestSpectatorReduction:
         for theta in SPECTATOR_THETAS:
             f = UccFactor(occ, virt, theta, nq)
             circuit = circuit_for(f, mode)
-            full, leakage = ancilla_zero_block(circuit)
+            full, leakage = full_register_block(circuit)
             na = circuit.num_ancilla
-            block = ancilla_zero_block(
+            block = full_register_block(
                 restrict(circuit, {na + q for q in spectators}))[0]
             block = block.reshape((2,) * (2 * len(kept)))
             cube = full.reshape((2,) * (2 * nq))
@@ -503,3 +533,151 @@ class TestRandomLayouts:
             assert (a.oaa_rounds, a.pad_qubits) == (1, 0)
             assert_both_modes_pass(standard_factor(2, theta))
         assert_both_modes_pass(standard_factor(2, hi))
+
+
+# every layout/theta grid above, at ranks 1-3
+PAIR_GRID = [(tuple(range(n)), tuple(range(n, 2 * n)), 2 * n, THETAS)
+             for n in (1, 2, 3)] + [((0, 1), (4, 6), 7, [0.9])] + \
+    [(*layout, SPECTATOR_THETAS) for layout in SPECTATOR_LAYOUTS] + \
+    [(*layout, LONG_GATE_THETAS) for layout in LONG_GATE_LAYOUTS
+     if len(layout[0]) <= 3]
+
+
+class TestPairRoute:
+    """`ancilla_zero_block` reads the block on the pairs {y, y ^ A} from two
+    columns; the full-register oracle runs all 2^N identity columns."""
+
+    @pytest.mark.parametrize("mode", ["postselect", "oaa"])
+    @pytest.mark.parametrize("layout", PAIR_GRID,
+                             ids=lambda l: f"{l[0]}-{l[1]}-N{l[2]}")
+    def test_matches_the_full_register_oracle(self, layout, mode):
+        occ, virt, nq, thetas = layout
+        for theta in thetas:
+            f = UccFactor(occ, virt, theta, nq)
+            circuit = circuit_for(f, mode)
+            full, full_leakage = full_register_block(circuit)
+            pairs, leakage = ancilla_zero_block(circuit, active_mask(f))
+            block = dense_of_pairs(pairs, nq, active_mask(f))
+            assert not np.any(full[off_pairs(nq, active_mask(f))]), theta
+            assert np.max(np.abs(block - full)) <= 1e-14, theta
+            assert abs(leakage - full_leakage) <= 1e-14, theta
+
+    def test_reference_is_zero_off_the_pairs(self):
+        for occ, virt, nq, thetas in PAIR_GRID:
+            for theta in thetas:
+                f = UccFactor(occ, virt, theta, nq)
+                off = off_pairs(nq, active_mask(f))
+                assert not np.any(exact_unitary(f)[off]), (occ, virt, theta)
+
+    @pytest.mark.parametrize("f,refused", [
+        (UccFactor((0, 1, 2, 3, 4), (6, 7, 8, 9, 10), 0.7, 11), False),
+        (standard_factor(6, 0.7), True),
+    ], ids=["rank5-chain-11-wires", "rank6-12-wires"])
+    def test_kept_wire_cap(self, monkeypatch, f, refused):
+        # the most kept wires rank 5 can have (a chain wire) and the fewest
+        # rank 6 can: the cap is judged before anything is built
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr("ucclcu.lcu.lcu_coefficients", reached)
+        with pytest.raises(ResourceLimitError if refused else Reached):
+            verify_end_to_end(f)
+
+
+def mutated(monkeypatch, edit):
+    """Make lcu build W as edit(f, gates, na, n_prep) returns it; return
+    that builder."""
+    def build(f):
+        w = assemble_w(f)
+        prep = len(synth_prepare(f.rank, f.theta).gates)
+        return Circuit(w.num_qubits, edit(f, list(w.gates), w.num_ancilla, prep),
+                       w.num_ancilla)
+
+    monkeypatch.setattr("ucclcu.lcu.assemble_w", build)
+    return build
+
+
+def select_system_gates(f, gates, na, prep):
+    """Indices of SELECT's gates on system wires, in order."""
+    return [i for i in range(prep, len(gates) - prep)
+            if gates[i].targets and gates[i].targets[0] >= na]
+
+
+def stray_x_in_select(f, gates, na, prep):
+    return gates[:prep + 1] + [Gate("X", (na + f.actives[0],))] + gates[prep + 1:]
+
+
+def stray_x_in_prepare(f, gates, na, prep):
+    return gates[:1] + [Gate("X", (na + f.actives[-1],))] + gates[1:]
+
+
+def dropped_reference_letter(f, gates, na, prep):
+    drop = next(i for i in select_system_gates(f, gates, na, prep)
+                if gates[i].kind in ("X", "Y"))
+    return gates[:drop] + gates[drop + 1:]
+
+
+def x_on_kept_chain(f, gates, na, prep):
+    chain = Gate("X", (na + chain_qubits(f)[0],), controls=((0, "+"),))
+    return gates[:prep] + [chain] + gates[prep:]
+
+
+def system_controlled(f, gates, na, prep):
+    i = next(i for i in select_system_gates(f, gates, na, prep)
+             if gates[i].kind == "Z" and gates[i].controls[0][0] > 0)
+    g = gates[i]
+    other = next(q for q in f.actives if na + q != g.targets[0])
+    gates[i] = Gate(g.kind, g.targets, g.angle,
+                    g.controls + ((na + other, "+"),))
+    return gates
+
+
+def wrong_fixup_angle(f, gates, na, prep):
+    i = max(i for i in range(prep, len(gates) - prep)
+            if gates[i].kind == "PHASE" and gates[i].targets == (0,))
+    g = gates[i]
+    gates[i] = Gate(g.kind, g.targets, g.angle + 1e-3, g.controls)
+    return gates
+
+
+MUTATIONS = [stray_x_in_select, stray_x_in_prepare, dropped_reference_letter,
+             x_on_kept_chain, system_controlled, wrong_fixup_angle]
+
+
+class TestMutations:
+    @pytest.mark.parametrize("mode", ["postselect", "oaa"])
+    @pytest.mark.parametrize("edit", MUTATIONS, ids=lambda e: e.__name__)
+    @pytest.mark.parametrize("layout", [((0,), (2,), 3), ((0, 1), (4, 6), 7),
+                                        ((0, 2, 4), (1, 3, 6), 7)],
+                             ids=["rank1", "rank2", "rank3"])
+    def test_fails_verify(self, monkeypatch, layout, edit, mode):
+        occ, virt, nq = layout
+        f = UccFactor(occ, virt, 0.7, nq)
+        assert chain_qubits(f)
+        mutated(monkeypatch, edit)
+        r = verify_end_to_end(f, mode=mode)
+        assert not r.passed
+        if edit is not wrong_fixup_angle:  # refused on the gates alone
+            assert r.deviation == math.inf
+
+    @pytest.mark.parametrize("mode", ["postselect", "oaa"])
+    def test_flip_undone_across_an_ancilla_h_is_refused(self, monkeypatch,
+                                                        mode):
+        # X_q, an ancilla H, X_q again: the X's commute with the H, so the
+        # circuit and the full-register block are unchanged, but the run
+        # that the H cuts flips q alone
+        def around_h(f, gates, na, prep):
+            i = next(i for i, g in enumerate(gates) if g.kind == "H")
+            x = Gate("X", (na + f.actives[0],))
+            return gates[:i] + [x, gates[i], x] + gates[i + 1:]
+
+        f = UccFactor((0, 1), (4, 6), 0.7, 7)
+        build = mutated(monkeypatch, around_h)
+        circuit = build(f) if mode == "postselect" else \
+            pad_and_synth_oaa(f).oaa_circuit
+        assert full_deviation(f, mode, circuit) <= 1e-13
+        r = verify_end_to_end(f, mode=mode)
+        assert not r.passed and r.deviation == math.inf
