@@ -186,12 +186,15 @@ def restrict(circuit: Circuit, zeros: set[int]) -> Circuit:
 
     A gate with a positive control on a held wire never fires and is
     dropped; a negative control there always fires and is stripped.  A Z or
-    PHASE on a held wire leaves |0> as it is and is dropped.
+    PHASE on a held wire leaves |0> as it is and is dropped.  With no wire
+    held, that is `circuit` itself, returned as it is.
 
     Raises:
         ValueError: any other kind targets a held wire, so it can move that
             wire's bit or phase its |0>.
     """
+    if not zeros:
+        return circuit
     keep = [w for w in range(circuit.num_qubits) if w not in zeros]
     index = {w: i for i, w in enumerate(keep)}
     out = Circuit(len(keep),

@@ -1,4 +1,4 @@
-"""Assembly of the block encoding W = (B† ⊗ 1) · SELECT · (B ⊗ 1), its
+"""Assembly of the block encoding W = (B† ⊗ 1) · SELECT · (B_ket ⊗ 1), its
 ancilla-zero block, and exact multi-round oblivious amplitude amplification.
 
 Wire layout: ancilla code wires 0..2n-1 (wire 0 = sector), then the system
@@ -28,7 +28,7 @@ from .circuit import Circuit, Gate, apply_circuit, restrict
 from .errors import ResourceLimitError
 from .fermion import UccFactor, chain_qubits, exact_unitary
 from .pauli import check_dense
-from .prepare import lcu_coefficients, synth_prepare
+from .prepare import _loader_pair, lcu_coefficients
 from .select import synth_select
 
 
@@ -40,23 +40,27 @@ def exact_amplification_one_norm(m: int) -> float:
 
 
 def assemble_w(f: UccFactor) -> Circuit:
-    """W = (B† ⊗ 1) · SELECT · (B ⊗ 1) for one factor; the only W builder.
+    """W = (B† ⊗ 1) · SELECT · (B_ket ⊗ 1) for one factor; the only W builder.
 
-    B loads sqrt(|alpha| / s) on the 2n code wires, code 0 holding the
-    identity weight, and SELECT maps code 0 to the identity string and
-    carries every coefficient phase, so ⟨0|W|0⟩ = U/s with no extra phase.
+    B loads beta_c = sqrt(|alpha_c| / s) on the 2n code wires, code 0
+    holding the identity weight, and B_ket loads sigma_c beta_c, sigma_c
+    being +1 on code 0 and -1 elsewhere; both come from one angle list
+    (`prepare`).  SELECT maps code 0 to the identity string and carries
+    every coefficient phase over sigma, so ⟨0|W|0⟩ = Σ_c sigma_c |beta_c|²
+    i^{t_c} P_c = U/s with no extra phase.  W is unitary, and that block is
+    all the amplification below reads.
     """
-    prep = synth_prepare(f.rank, f.theta).gates
+    ket, unprepare = _loader_pair(f.rank, f.theta)
     select = synth_select(f)
-    circ = Circuit(select.num_qubits, num_ancilla=select.num_ancilla)
-    circ.extend(prep + select.gates + [g.inverse() for g in reversed(prep)])
-    return circ
+    return Circuit(select.num_qubits, ket + select.gates + unprepare,
+                   select.num_ancilla)
 
 
 def reflection_on_ancilla(num_ancilla: int, phi: float) -> list[Gate]:
     """R_φ = 1 - (1 - e^{iφ})|0..0><0..0| on the ancilla block: one
-    GLOBALPHASE(φ) anticontrolled on every ancilla wire, the shape of
-    SELECT's code-0 phase; φ = pi is the reflection 1 - 2|0..0><0..0|."""
+    GLOBALPHASE(φ) anticontrolled on every ancilla wire, the only gate of W
+    or the amplification with more than one control; φ = pi is the
+    reflection 1 - 2|0..0><0..0|."""
     return [Gate("GLOBALPHASE", (), phi,
                  tuple((q, "-") for q in range(num_ancilla)))]
 

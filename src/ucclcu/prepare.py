@@ -15,10 +15,18 @@ first set wire into |->, next to the |+> the last wire's H left.  A code
 whose first set wire is k thus has |amplitude|^2 = prod_{i<k} cos^2(a_i/2)
 sin^2(a_k/2) 2^-(2n-1-k), and code 0 has prod_i cos^2(a_i/2).
 
-All coefficient phases (the i of i*sin(theta), the sign of cos(theta)-1,
-per-string signs) are realized inside SELECT.  The loaded signs, the |->
-wires included, are ket-side phases: with the same loader on both sides of
-B† · SELECT · B each cancels against its bra-side conjugate.
+W = B† · SELECT · B_ket pairs B with a ket loader of its own, the
+state-preparation pair of the LCU lemma (Gilyen, Su, Low & Wiebe,
+arXiv:1806.01838).  B_ket is B at two shifted angles, so it costs no gate:
+RX(a_0 + 2 pi) = -RX(a_0) puts -1 on every code, and the last RY at
+2 pi - a is -RY(-a), which fires only where wires 0..2n-2 are all 0 and
+there writes -cos(a/2) on code 0 and the same sin(a/2) on code 1.  So B_ket
+loads sigma_c beta_c, with sigma_c = +1 on code 0 and -1 on every other
+code.  In the pair product conj(beta_c) sigma_c beta_c = sigma_c |alpha_c| / s
+the |-> signs cancel against their bra-side conjugates and sigma stays.
+SELECT realizes every other coefficient phase: the i of i sin(theta), the
+sign of sin(theta), the per-string signs, and the sign of cos(theta) - 1
+over sigma.
 
 The paper's closed-form angles are kept as `prepare_angles` for reference.
 Under the full-angle reading exp(-i theta P) they load |alpha_m| themselves,
@@ -166,25 +174,45 @@ def _loader(n: int, angles) -> Circuit:
     return circ
 
 
+def _ket_angles(angles) -> list[float]:
+    """B's angles with a_0 + 2 pi first and 2 pi - a last: B_ket's angles."""
+    return [angles[0] + 2.0 * math.pi, *angles[1:-1], 2.0 * math.pi - angles[-1]]
+
+
+def _loader_pair(n: int, theta: float) -> tuple[list[Gate], list[Gate]]:
+    """The gates of B_ket and of B†, from one `_loader_angles` call.  Every
+    loader gate is an H or X, its own inverse, or a rotation that the
+    negated angle inverts, so B† is the loader at the negated angles in
+    reverse order."""
+    angles = _loader_angles(n, theta)
+    return (_loader(n, _ket_angles(angles)).gates,
+            _loader(n, [-a for a in angles]).gates[::-1])
+
+
 def synth_prepare(n: int, theta: float) -> Circuit:
-    """The ancilla loader B on 2n qubits."""
-    return _loader(n, _loader_angles(n, theta))
+    """The ket loader B_ket on 2n qubits."""
+    return _loader(n, _ket_angles(_loader_angles(n, theta)))
 
 
 @dataclass(frozen=True, slots=True)
 class PrepareReport:
-    """max_deviation of the loaded |amplitudes| from sqrt(|alpha|/s);
-    used_fallback is always False (there is no fallback loader)."""
+    """max_deviation of the pair products conj(beta_bra) beta_ket from
+    sigma |alpha| / s; used_fallback is always False (there is no fallback
+    loader)."""
 
     max_deviation: float
     used_fallback: bool = False
 
 
 def verify_prepare(n: int, theta: float) -> PrepareReport:
-    """Compare the loaded |amplitudes| with the sqrt(|alpha|/s) target."""
+    """Run B and B_ket on |0> and compare each code's pair product
+    conj(beta_bra,c) beta_ket,c with sigma_c |alpha_c| / s, sign included."""
     check_dense(2 * n, 0, "loader state")
-    target = np.array(prepare_target_amplitudes(n, theta))
+    target = np.square(prepare_target_amplitudes(n, theta))
+    target[1:] *= -1.0
     init = np.zeros(1 << (2 * n), dtype=complex)
     init[0] = 1.0
-    got = np.abs(apply_circuit(synth_prepare(n, theta), init))
-    return PrepareReport(float(np.max(np.abs(got - target))))
+    angles = _loader_angles(n, theta)
+    bra, ket = (apply_circuit(_loader(n, a), init)
+                for a in (angles, _ket_angles(angles)))
+    return PrepareReport(float(np.max(np.abs(bra.conj() * ket - target))))

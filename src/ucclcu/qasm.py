@@ -20,8 +20,8 @@ It is deliberately ancilla-free and therefore exponential in the control
 count — fine for export, not a statement about gate cost; the CNOT figures in
 the cost module use the 8k-12 counting model instead, and emitted files say so
 in their header.  A gate with more than 16 controls is refused: 16, the
-rank-8 code-0 phase, already lowers to 12.8 million gates.  Emission is then
-a lookup on the gate kind.
+phase of a rank-8 reflection, already lowers to 12.8 million gates.
+Emission is then a lookup on the gate kind.
 """
 
 from __future__ import annotations

@@ -29,17 +29,18 @@ the coefficient i^r / 2^{2n-1} in E and M_c times it is i^{k_c} P_c, then
 P_c has the Z4 power r + 2 b_1 + k_c in E; in Pi, whose identity coefficient
 is positive, P_c = M_c has the power 2 b_1.  Code c must carry the unit of
 its coefficient in the expansion I + sin(theta) E + (cos theta - 1) Pi over
-the i^{k_c} the masks left: r + 2 b_1 + 2 [sin theta < 0] in the excitation
-sector, 2 + 2 b_1 in the diagonal sector (cos theta - 1 <= 0), and 0 at
-code 0, the identity, whose coefficient is >= 0.  Where a weight is zero
-the unit is free and takes the same rule.  That is affine in b_0 and b_1
-except at code 0, so from rank 2 on four gates give it: GLOBALPHASE(pi)
-anticontrolled on all 2n code wires, GLOBALPHASE(pi), Z on wire 1 and
-PHASE((r + 2 [sin theta < 0] - 2) pi/2) on wire 0.  At rank 1 the diagonal
-sector holds code 0 and the b_1 code only, both at 0, so two gates do:
-PHASE((r + 2 [sin theta < 0]) pi/2) on wire 0, then CZ(0, 1).  r comes from
-the 2n single-term ladder factors of A (`_reference_power`), with no
-PauliSum expanded.
+the i^{k_c} the masks left and over the sign sigma_c that the ket loader
+B_ket puts on it (`prepare`): +1 on code 0 and -1 on every other code.  In
+the excitation sector that is r + 2 b_1 + 2 [sin theta < 0] + 2.  In the
+diagonal sector it is 2 b_1 on every code: off code 0 the sign of the
+weight cos theta - 1 <= 0 cancels sigma_c = -1, and code 0, the identity,
+has a weight >= 0 and sigma_c = +1.  Where a weight is zero the unit is
+free and takes the same rule.  That is affine in b_0 and b_1 at every rank,
+rank 1 included, so two uncontrolled gates give it: PHASE(pi) on wire 1,
+then PHASE((r + 2 [sin theta < 0] + 2) pi/2) on wire 0.  No fix-up has a
+control, and every other SELECT gate has one.  r comes from the 2n
+single-term ladder factors of A (`_reference_power`), with no PauliSum
+expanded.
 """
 
 from __future__ import annotations
@@ -177,17 +178,17 @@ def derive_select_plan(f: UccFactor) -> SelectPlan:
 
 
 def code_phase_targets(f: UccFactor, plan: SelectPlan) -> dict[int, int]:
-    """Z4 power p_c of the coefficient unit i^p_c that code c must carry:
-    coeff_power, plus 2 in the excitation sector where sin theta < 0 and in
-    the whole diagonal sector, whose weight cos theta - 1 is never positive;
-    0 for the identity code 0, whose coefficient 1 + (cos theta - 1)/2^{2n-1}
-    is >= 0.  A code of zero weight (sin theta = 0 or cos theta = 1 in float)
-    may carry any unit; it takes the same rule, so the fix-ups keep their
-    shape."""
+    """Z4 power t_c of the unit i^t_c that SELECT gives code c:
+    coeff_power, plus 2 [sin theta < 0] + 2 in the excitation sector.  With
+    the ket loader's sign sigma_c (+1 on code 0, -1 elsewhere) that is the
+    unit of c's weight: the diagonal sector's weight cos theta - 1 is never
+    positive, and the identity code 0 has coeff_power 0 and a weight
+    1 + (cos theta - 1)/2^{2n-1} >= 0.  A code of zero weight (sin theta = 0
+    or cos theta = 1 in float) may carry any unit; it takes the same rule,
+    so the fix-ups keep their shape."""
     na = plan.num_ancilla
-    flip = 2 if math.sin(f.theta) < 0 else 0
-    return {code: 0 if code == 0 else
-            (entry.coeff_power + (flip if code >> (na - 1) else 2)) % 4
+    shift = 0 if math.sin(f.theta) < 0 else 2
+    return {code: (entry.coeff_power + (shift if code >> (na - 1) else 0)) % 4
             for code, entry in plan.code_table.items()}
 
 
@@ -217,16 +218,10 @@ def _reference_power(f: UccFactor, xy_ref: PauliString) -> int:
 
 def _phase_fixups(f: UccFactor, r: int) -> list[Gate]:
     """The closed-form fix-ups of the module docstring: code c gets
-    i^(p_c - phase_power_c), with r the reference string's Z4 power."""
-    na = 2 * f.rank
-    sector = r + (2 if math.sin(f.theta) < 0 else 0)
-    if na == 2:
-        return [Gate("PHASE", (0,), _QUARTER_TURNS[sector % 4]),
-                Gate("PHASE", (0,), math.pi, ((1, "+"),))]
-    return [Gate("GLOBALPHASE", (), math.pi, tuple((w, "-") for w in range(na))),
-            Gate("GLOBALPHASE", (), math.pi),
-            Gate("PHASE", (1,), math.pi),
-            Gate("PHASE", (0,), _QUARTER_TURNS[(sector - 2) % 4])]
+    i^(t_c - phase_power_c), with r the reference string's Z4 power."""
+    sector = r + (0 if math.sin(f.theta) < 0 else 2)
+    return [Gate("PHASE", (1,), math.pi),
+            Gate("PHASE", (0,), _QUARTER_TURNS[sector % 4])]
 
 
 def synth_select(f: UccFactor, plan: SelectPlan | None = None) -> Circuit:

@@ -192,9 +192,10 @@ def mobius_fixups(plan, targets) -> list:
 
     Code c needs i^(targets[c] - phase_power_c), a Z4 function of the 2n
     code bits, written as a phase polynomial (Amy, Maslov & Mosca,
-    arXiv:1303.2042).  The code-0 spike is peeled off first, as one
+    arXiv:1303.2042).  A code-0 spike would be peeled off first, as one
     all-anticontrolled GLOBALPHASE, with the multiple that leaves the fewest
-    monomials; each remaining monomial S with coefficient g_S becomes a
+    monomials; SELECT's targets are affine in the code bits, so the search
+    peels none.  Each monomial S with coefficient g_S becomes a
     PHASE(g_S pi/2) on the first wire of S, positively controlled on the
     rest, in ascending code order; the empty monomial is a GLOBALPHASE.
     """

@@ -250,6 +250,11 @@ class TestRestrict:
                              Gate("GLOBALPHASE", (), 0.5, ((1, "+"),)),
                              Gate("H", (2,))]
 
+    def test_nothing_held_is_the_circuit_itself(self):
+        circ = Circuit(3, [Gate("RY", (0,), 0.4, ((1, "-"),)),
+                           Gate("X", (2,), controls=((0, "+"),))], 1)
+        assert restrict(circ, set()) is circ
+
     @pytest.mark.parametrize("gate", [
         Gate("X", (1,)), Gate("H", (1,), controls=((0, "-"),)),
         Gate("RZ", (1,), 0.3), Gate("RY", (1,), 0.3)])

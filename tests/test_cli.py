@@ -256,8 +256,8 @@ class TestCrossProcessDeterminism:
 
 LAYOUT = "--occ 0,2 --virt 3,5 --n-qubits 7"
 
-# SHA-256 of stdout; these artifacts hold only integers and the angles 0 and
-# pi/2^k
+# SHA-256 of stdout; these artifacts hold only integers and the angles 0,
+# pi/2^k and 2 pi
 PINNED_DIGESTS = {
     "plan --rank 1":
         "e74f9b0508d481f5e39d5384824d31660edf5ab03a7e77516f32a8ae2ec8db83",
@@ -268,33 +268,39 @@ PINNED_DIGESTS = {
     f"plan {LAYOUT}":
         "9b9cfd1df59cb96e5ef45e6f791dfc8925296243d6d561ac9edd228f58462a1e",
     "synth --part select --rank 2 --theta 0":
-        "7f6ca80cf80def0f7a3e08c8ceb508331f4cb60c3d33c4220af5b113ee3f36d1",
+        "7bbea82baa427eb887251b30594d4a41ccb5a5378629b459447055fb95e97881",
     "synth --part select --rank 2 --theta 0 --qasm":
-        "f0cb7a74d98916536a8a1a88d1e15db6842c31e92a2b5bf146da51dfc19ceb2b",
+        "f7a03881ecfa2f33bc4faa55ea98b8be765189d33b13dd35e6347e5d052892c3",
     "synth --part select --rank 2 --theta 0.7":
-        "d9622124bc86e84f32178c98e822ad548b17bca85f355d3d7bf978d9a3b469cf",
+        "782fbf469145c5bb4434b94401de9958fe80879f11530d8a543e78e4161b54bc",
     "synth --part select --rank 2 --theta 0.7 --qasm":
-        "14f4cc822a3c3eb41316300036e0b0fe91690d55e441a1937ff89aa4ad4cbb5f",
+        "bcbfa110c26d0b29ce2f0ff53010184003703b1caf0fa5434b98986b23e14d07",
     "synth --part select --rank 2 --theta -2.5":
-        "2c1f4316aeb701daab5d8a69a7cb80eee56d5418438b606c716f2d77f4d349c0",
+        "b8450ca59bb8d7823f61ff0cc172203b640ec712871d328fb4c934b0eceabb76",
     "synth --part select --rank 2 --theta -2.5 --qasm":
-        "8b161c7692817b38709a302ee9042c47bd2613d1c06239bc783ad57e1a53324a",
+        "d380b6b23216e2abd9fce07ec817f96df3f9baac67a7d353096ebcdf0f42ec6b",
     f"synth --part select {LAYOUT} --theta 0":
-        "59fd2274e143085e038092bb788d44615a1601cd6fa06977ef683f801e0a1015",
+        "3ebf8419bcc033c079f0ed075eb194030e1857c37cbde694a2ecb8aa05b30dfe",
     f"synth --part select {LAYOUT} --theta 0 --qasm":
-        "89f7fce56d9af1a505f2904e1e140318262600bc5eadf2459a094501f0bb9350",
+        "d861400e3e5b5b6064b74c3a97163d568dc16334b55fb0d4b2ae0cfec0aef5f4",
     f"synth --part select {LAYOUT} --theta 0.7":
-        "1246753d7f4f297a61a02e6efdf02f7b49d36a016bc9071adf9517478f1b2dcb",
+        "79c09563de3ca66bfd0c648cf90498cb48c8d28a28c58961728ce61e00b053da",
     f"synth --part select {LAYOUT} --theta 0.7 --qasm":
-        "1c6f63b2bc1156548c22347a79e8baf4cbf8876eee3e4968781ec684a416b61b",
+        "be4bf8b70357fa4ad793d53a7ad1aff8d1591caf4a84ee0ba08c81ebd695d4a6",
     f"synth --part select {LAYOUT} --theta -2.5":
-        "8696b0a0b993f553f95ab9089a06640dc25c3663e467aae2f646e1d46c9ec1d2",
+        "f71411a4ad3f3a32c4c77da990d007425352987a52b21e2aab5965d084661bd9",
     f"synth --part select {LAYOUT} --theta -2.5 --qasm":
-        "199fdc3c8cc6646e2d3325eb9df1361f32b8c3f54403593e2a4b6b3fdab64689",
+        "3787b9b6ff65e0b7f8cfc2d7166d9ec5a1cc09c01b4d2f0d28aa09d26872ed93",
     "synth --part prepare --rank 3 --theta 0":
-        "01046fcbdc0b1a67bff4bcb2673f950528c5897f8da9fc195d9a0a83fdb3a7ed",
+        "73c7e82e6949704ca8a7fc01e91b361487839fba2383d1b0726a32172eb02c6c",
     "synth --part prepare --rank 3 --theta 0 --qasm":
-        "d1858006931267b12318ba6cb720bd414d10ca359f1b4d0af6cdd716168ce36a",
+        "428f9dc9deb2f347dca3e47f56918744f4d4aaeed83403d50e8ee9a201daa7ba",
+    "synth --part w --rank 2 --theta 0":
+        "7155c7238248e72ee574f88248bf1030a7e9d1108ddd112d4b2f720595997d21",
+    "synth --part w --rank 2 --theta 0 --qasm":
+        "385e4a7174939898a0c4cffc304e61385ea487cfe6ef8e3fef1c77f5f97a9e0d",
+    "synth --part oaa --rank 2 --theta 0":
+        "37611864ba14e387492a0307bd878d6fd23b35189cdce402df06f8586ba014a0",
     "count --rank-max 8 --rho 0":
         "fbe2b86a798f47574fa5ba02bd356f41110037b01347b7517e991a39517ece9b",
     "count --rank-max 8 --rho 1":
@@ -307,7 +313,9 @@ class TestPinnedBytes:
 
     `plan`, `synth --part select` and `count` print only integers and the
     constant angles pi/2^k; `synth --part prepare` at theta = 0 has every
-    loader angle exactly 0.0, so its digest pins the loader's gate list.
+    ket-loader angle exactly 0.0 or 2 pi, so its digest pins the loader's
+    gate list; `synth --part w|oaa` at theta = 0 add the bra loader's -0.0
+    (the amplification takes no round there, so oaa is W).
     `expand` and `verify` print computed floats and are left out.  A
     deliberate change to these bytes updates the digests here and says in
     CHANGES.md why the bytes changed.
@@ -449,14 +457,25 @@ class TestErrorsAndMeta:
         assert code == 0 and err == ""
         assert json.loads(out)["num_ancilla"] == 2 * rank
 
-    @pytest.mark.parametrize("part", ["select", "w", "oaa"])
+    @pytest.mark.parametrize("part", ["oaa"])
     def test_qasm_past_sixteen_controls_exits_two(self, capsys, part):
-        # the rank-9 code-0 phase has 18 controls; lowered without ancillas
-        # it would be over 10^8 gates
+        # the rank-9 reflections have 18 controls; lowered without ancillas
+        # each would be over 10^8 gates
         code, out, err = run(capsys, "synth", "--part", part, "--rank", "9",
                              "--theta", "0.7", "--qasm")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "export cap" in err
+
+    @pytest.mark.parametrize("part", ["select", "w"])
+    def test_qasm_at_rank_nine_has_no_long_gate(self, capsys, part):
+        # SELECT and W have no gate with two controls, so the export cap
+        # never bites and every exported gate acts on at most two qubits
+        code, out, err = run(capsys, "synth", "--part", part, "--rank", "9",
+                             "--theta", "0.7", "--qasm")
+        assert code == 0 and err == "" and "qreg q[36];" in out
+        gates = [ln for ln in out.splitlines() if ln.endswith("];")
+                 and not ln.startswith(("//", "qreg"))]
+        assert gates and all(ln.count("q[") <= 2 for ln in gates)
 
     def test_rank_nine_prepare_and_count_unaffected(self, capsys):
         code, out, _ = run(capsys, "synth", "--part", "prepare", "--rank", "9",

@@ -106,11 +106,25 @@ class TestAssembleW:
                                    standard_factor(2, 0.7),
                                    UccFactor((0, 1), (4, 6), -2.5, 7)])
     def test_w_is_prepare_select_unprepare(self, f):
-        # PREPARE loads the identity weight on code 0 and SELECT maps code 0
-        # to the identity string, so nothing sits between them
-        prep = synth_prepare(f.rank, f.theta).gates
-        unprep = [g.inverse() for g in reversed(prep)]
-        assert assemble_w(f).gates == prep + synth_select(f).gates + unprep
+        # the ket loader carries code 0's sign and SELECT maps code 0 to the
+        # identity string, so nothing sits between them; the bra loader is
+        # the ket loader with RX(a_0) first and the plain last RY(a)
+        w = assemble_w(f).gates
+        ket = synth_prepare(f.rank, f.theta).gates
+        head = ket + synth_select(f).gates
+        assert w[:len(head)] == head
+        bra = [g.inverse() for g in reversed(w[len(head):])]
+        assert len(bra) == len(ket)
+        last_ry = 4 * f.rank - 2
+        assert (ket[0].kind, ket[last_ry].kind) == ("RX", "RY")
+        for i, (b, k) in enumerate(zip(bra, ket)):
+            assert (b.kind, b.targets, b.controls) == \
+                (k.kind, k.targets, k.controls)
+            if i in (0, last_ry):
+                want = k.angle - 2 * math.pi if i == 0 else 2 * math.pi - k.angle
+                assert b.angle == pytest.approx(want, abs=1e-15), i
+            else:
+                assert b.angle == k.angle
 
 
 class TestReflection:
@@ -384,7 +398,7 @@ class TestSpectatorReduction:
                  None if g.angle is None else f"{g.angle:.12g}",
                  [list(c) for c in g.controls]] for g in r.gates]])
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
-            "6844381eec1ff205bcab828556049e19f19da141ea5833a59638386bf2386754"
+            "6a52413e76dc59ca055ab6b2273d7a7f0bf620db0dc04298c76e6570d77a822f"
 
     def test_grid_has_padded_and_unpadded_circuits(self):
         # one and two rounds, with phi = pi (s = s_1 at rank 1, theta = pi/2)
@@ -426,30 +440,26 @@ LONG_GATE_THETAS = [0.0, 1e-20, 0.7, -0.7, math.pi / 2, -math.pi / 2, 2.5,
 
 @pytest.mark.parametrize("layout", LONG_GATE_LAYOUTS,
                          ids=lambda l: f"{l[0]}-{l[1]}-N{l[2]}")
-def test_long_gates_are_zero_code_phases(layout):
-    """W and OAA have exactly the 2n code wires as ancillas, and every gate
-    with three or more controls is a GLOBALPHASE anticontrolled on exactly
-    those wires: SELECT's code-0 phase, its inverse from W†, or the matched
-    reflection R_phi."""
+def test_long_gates_are_reflections(layout):
+    """W and OAA have exactly the 2n code wires as ancillas.  W has no gate
+    with two or more controls, and in OAA every such gate is a matched
+    reflection R_phi: a GLOBALPHASE anticontrolled on exactly those wires,
+    two per round."""
     occ, virt, nq = layout
     code_wires = tuple((q, "-") for q in range(2 * len(occ)))
     for theta in LONG_GATE_THETAS:
         f = UccFactor(occ, virt, theta, nq)
-        select = {g.angle for g in synth_select(f).gates if len(g.controls) >= 3}
-        select |= {-angle for angle in select}
         s = lcu_coefficients(f.rank, theta).s_one_norm
         if math.sin(theta):  # the round rule matches s < 1 + ulp to 1 + ulp
             s = max(s, math.nextafter(1.0, 2.0))
-        reflection = matched_phases(s)[1]
-        for circuit, angles in ((assemble_w(f), select),
-                                (pad_and_synth_oaa(f).oaa_circuit,
-                                 select | {reflection})):
-            assert circuit.num_ancilla == 2 * f.rank, theta
-            for g in circuit.gates:
-                if len(g.controls) >= 3:
-                    assert g.kind == "GLOBALPHASE", (theta, g)
-                    assert g.controls == code_wires, (theta, g)
-                    assert g.angle in angles, (theta, g)
+        m, phi, _ = matched_phases(s)
+        w = assemble_w(f)
+        assembly = pad_and_synth_oaa(f)
+        assert w.num_ancilla == assembly.oaa_circuit.num_ancilla == 2 * f.rank
+        assert all(len(g.controls) <= 1 for g in w.gates), theta
+        assert assembly.oaa_rounds == m, theta
+        assert [g for g in assembly.oaa_circuit.gates if len(g.controls) >= 2] \
+            == [Gate("GLOBALPHASE", (), phi, code_wires)] * (2 * m), theta
 
 
 @st.composite

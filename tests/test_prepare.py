@@ -11,9 +11,10 @@ from ucclcu.circuit import apply_circuit
 from ucclcu.costs import realized_cnot_count
 from ucclcu.errors import AngleDomainError, ResourceLimitError
 from ucclcu.fermion import UccFactor, ucc_factor_expand
-from ucclcu.prepare import (_loader, lcu_coefficients, prepare_angles,
-                            prepare_target_amplitudes, synth_prepare,
-                            verify_prepare)
+from ucclcu.lcu import verify_end_to_end
+from ucclcu.prepare import (_loader, _loader_angles, lcu_coefficients,
+                            prepare_angles, prepare_target_amplitudes,
+                            synth_prepare, verify_prepare)
 
 THETAS = [-0.3, 0.3, math.pi / 4, 1.0, math.pi / 2, 2.5]
 
@@ -207,6 +208,42 @@ class TestVerifyAndFallback:
         # rank 15: a 2^30-entry state, refused before any synthesis
         with pytest.raises(ResourceLimitError, match="exceeds the cap"):
             verify_prepare(15, 0.7)
+
+
+KET_MUTATIONS = {
+    # the last RY at a: code 0 keeps the global -1
+    "plain last angle": lambda a: [a[0] + 2 * math.pi, *a[1:]],
+    # RX(a_0): the -1 off code 0 is lost and code 0 gets it
+    "plain first angle": lambda a: [a[0], *a[1:-1], 2 * math.pi - a[-1]],
+}
+
+
+class TestKetLoaderSign:
+    """verify_prepare and verify_end_to_end both see the sign that the ket
+    loader carries: a ket loader that drops either shifted angle fails."""
+
+    def test_pair_product_is_signed_weight(self):
+        for n, theta in ((1, 0.7), (2, -2.5), (3, 1.0)):
+            bra = loaded_state(_loader(n, _loader_angles(n, theta)))
+            ket = loaded_state(synth_prepare(n, theta))
+            c = lcu_coefficients(n, theta)
+            m = c.sector_size
+            weights = np.array([c.identity_coeff] + [-abs(c.projector_coeff)]
+                               * (m - 1) + [-abs(c.excitation_coeff)] * m)
+            assert np.max(np.abs(bra.conj() * ket - weights / c.s_one_norm)) \
+                <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["postselect", "oaa"])
+    @pytest.mark.parametrize("mutation", sorted(KET_MUTATIONS))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mutated_ket_loader_fails(self, monkeypatch, n, mutation, mode):
+        f = UccFactor(tuple(range(n)), tuple(range(n, 2 * n)), 0.7, 2 * n)
+        assert verify_prepare(n, f.theta).max_deviation <= 1e-9
+        assert verify_end_to_end(f, mode=mode).passed
+        monkeypatch.setattr("ucclcu.prepare._ket_angles",
+                            KET_MUTATIONS[mutation])
+        assert verify_prepare(n, f.theta).max_deviation > 1e-2
+        assert not verify_end_to_end(f, mode=mode).passed
 
 
 class TestAngleDomain:

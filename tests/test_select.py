@@ -140,20 +140,22 @@ class TestPlanGeneral:
 
 
 class TestPhaseTargets:
+    """One rule for every code, code 0 included: coeff_power, plus
+    2 [sin theta < 0] + 2 in the excitation sector; the ket loader's sign
+    (-1 off code 0) supplies the rest of each weight's unit."""
+
     def test_theta_zero_all_unit(self):
         # every code but the identity has zero weight at theta = 0; its free
-        # unit follows the sign rule, sin theta = 0 counting as positive and
-        # cos theta - 1 as negative
+        # unit follows the sign rule, sin theta = 0 counting as positive
         f = UccFactor((0, 1), (2, 3), 0.0, 4)
         plan = derive_select_plan(f)
         targets = code_phase_targets(f, plan)
         for code, entry in plan.code_table.items():
-            if code == 0:
-                assert targets[code] == 0
-            elif sector_of(code, 4):
-                assert targets[code] == entry.coeff_power
-            else:
+            if sector_of(code, 4):
                 assert targets[code] == (entry.coeff_power + 2) % 4
+            else:
+                assert targets[code] == entry.coeff_power
+        assert targets[0] == 0
         assert targets == code_phase_targets(
             UccFactor((0, 1), (2, 3), 1e-9, 4), plan)
 
@@ -162,20 +164,41 @@ class TestPhaseTargets:
         targets = code_phase_targets(ADJ2, plan)
         na = plan.num_ancilla
         for code, entry in plan.code_table.items():
-            if sector_of(code, na):
-                assert targets[code] == entry.coeff_power  # sin(0.7) > 0
-            elif entry.string.is_identity():
-                assert targets[code] == 0
-            else:  # cos(0.7) - 1 < 0
+            if sector_of(code, na):  # sin(0.7) > 0, over the loader's -1
                 assert targets[code] == (entry.coeff_power + 2) % 4
+            else:  # cos(0.7) - 1 < 0 and the loader's -1 cancel
+                assert targets[code] == entry.coeff_power
+        assert plan.code_table[0].string.is_identity() and targets[0] == 0
 
     def test_negative_theta_flips_excitation_sector(self):
         f = UccFactor((0, 1), (2, 3), -0.7, 4)
         plan = derive_select_plan(f)
         targets = code_phase_targets(f, plan)
+        positive = code_phase_targets(ADJ2, plan)
         for code, entry in plan.code_table.items():
             if sector_of(code, plan.num_ancilla):
-                assert targets[code] == (entry.coeff_power + 2) % 4
+                assert targets[code] == entry.coeff_power
+                assert targets[code] == (positive[code] + 2) % 4
+            else:
+                assert targets[code] == positive[code]
+
+    def test_units_times_loader_sign_are_weight_units(self):
+        """sigma_c i^{t_c} is the unit of code c's LCU weight wherever that
+        weight is nonzero, read off the expansion's own coefficients."""
+        for f in (ADJ2, GAP2, UccFactor((0, 1), (2, 3), -2.5, 4),
+                  UccFactor((0,), (1,), 0.7, 2), UccFactor((0,), (1,), -3.0, 2),
+                  UccFactor((0, 2, 4), (1, 3, 5), 1.3, 6)):
+            plan = derive_select_plan(f)
+            targets = code_phase_targets(f, plan)
+            expansion = (excitation_pauli_sum(f) * math.sin(f.theta)
+                         + projector_pauli_sum(f) * (math.cos(f.theta) - 1.0))
+            for code, entry in plan.code_table.items():
+                weight = expansion.coefficient(entry.string) + \
+                    (1.0 if code == 0 else 0.0)
+                sigma = 1.0 if code == 0 else -1.0
+                assert abs(weight) > 1e-12
+                unit = sigma * 1j ** targets[code]
+                assert abs(weight / abs(weight) - unit) <= 1e-12, (f, code)
 
     def test_all_targets_unimodular(self):
         for theta in (0.0, 0.4, np.pi, -2.0):
@@ -445,27 +468,32 @@ class TestPhasePolynomial:
     @pytest.mark.parametrize("layout", [((0,), (1,), 2), ((0, 1), (4, 6), 7)]
                              + FIXUP_LAYOUTS)
     def test_fixup_shape(self, layout):
-        """The code-0 phase on all-negative controls, the constant -1, Z on
-        wire 1 and S or S† on the sector wire, at generic theta and at the
-        zero weights of theta = 0 and 1e-9 alike; rank 1 has its two gates."""
+        """Z on wire 1, then S or S† on the sector wire, both uncontrolled,
+        at every rank, at generic theta and at the zero weights of theta = 0
+        and 1e-9 alike."""
         plan = plan_for(*layout)
-        na = plan.num_ancilla
         for theta in (0.7, -0.7, 2.5, -2.5, 3.0, 0.0, -0.0, 1e-9):
             f = UccFactor(layout[0], layout[1], theta, layout[2])
             fixups = [g for g in synth_select(f, plan).gates
                       if g.kind in ("PHASE", "GLOBALPHASE")]
             # sin theta = 0 counts as positive
             s = -math.pi / 2 if math.sin(theta) < 0 else math.pi / 2
-            if na == 2:
-                assert fixups == [Gate("PHASE", (0,), -s),
-                                  Gate("PHASE", (0,), math.pi, ((1, "+"),))]
-                continue
-            assert fixups == [
-                Gate("GLOBALPHASE", (), math.pi,
-                     tuple((w, "-") for w in range(na))),
-                Gate("GLOBALPHASE", (), math.pi),
-                Gate("PHASE", (1,), math.pi),
-                Gate("PHASE", (0,), s)], theta
+            assert fixups == [Gate("PHASE", (1,), math.pi),
+                              Gate("PHASE", (0,), s)], theta
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_no_gate_has_two_controls(self, n):
+        """Every SELECT gate but the fix-ups has one control, on a code wire;
+        the fix-ups are exactly the two uncontrolled PHASE gates."""
+        for occ, virt, nq in layouts_of_rank(n):
+            for theta in (0.7, -2.5, 0.0):
+                gates = synth_select(UccFactor(occ, virt, theta, nq)).gates
+                assert all(len(g.controls) == 1 and g.controls[0][0] < 2 * n
+                           for g in gates[:-2]), (occ, virt, theta)
+                assert [(g.kind, g.targets, g.controls) for g in gates[-2:]] \
+                    == [("PHASE", (1,), ()), ("PHASE", (0,), ())]
+                assert not [g for g in gates[:-2]
+                            if g.kind in ("PHASE", "GLOBALPHASE")]
 
     def test_synthesis_builds_no_code_table(self, monkeypatch, capsys):
         def refuse(f):
@@ -474,7 +502,7 @@ class TestPhasePolynomial:
         monkeypatch.setattr("ucclcu.select.derive_select_plan", refuse)
         monkeypatch.setattr("ucclcu.cli.derive_select_plan", refuse)
         f = UccFactor((0, 2, 4), (1, 3, 5), 0.7, 6)
-        assert len(synth_select(f).gates) == 6 + 2 * 5 + 4
+        assert len(synth_select(f).gates) == 6 + 2 * 5 + 2
         assert pad_and_synth_oaa(f).oaa_rounds == 1
         assert main(["synth", "--part", "oaa", "--rank", "3",
                      "--theta", "0.7"]) == 0
